@@ -23,9 +23,16 @@ Inside D the unknowns (alpha^2, beta) solve two real equations,
     (1/(N m^2)) tr 1/(|i beta + w B^{-1}|^2 + alpha^2) = 1,
     tr B^{-1} / (|i beta + w B^{-1}|^2 + alpha^2) = 0,
 
-handled by a damped (Armijo-backtracked) Newton iteration on the
-sign-free unknowns (alpha^2, beta); ``alpha^2 <= 0`` at convergence is
-the clean no-solution exit that marks w as holomorphic.
+handled by one Newton iteration on the sign-free unknowns (alpha^2,
+beta), run in lockstep over a batch of points, with each step halved
+until the denominators stay positive and the residual drops.  The starts
+are (1/m^2 - |w|^2 - beta0^2, beta0) with the continuation-root guess
+beta0 = (tr B/N)/(2 m^2 Im w), then alpha^2 = 1/(2 m^2) with beta =
+beta0, 0, -beta0; points that none of them resolves restart from
+(f alpha^2, beta/f) for f = 1.35, 1.7, 2.05, 2.4.  The first converged
+start decides, and ``alpha^2 <= 0`` there is the clean no-solution exit
+that marks w as holomorphic.  At w = 0, where the equations collapse to
+one, alpha^2 = 1/m^2, beta = 0 solves them exactly when tr B^{-1} = 0.
 
 Both phases satisfy one unified identity through the map argument
 zeta:  w G = zeta G_B(zeta) = 1 + m^2 (a^2 + b^2).  ``unified_check``
@@ -35,6 +42,7 @@ transform.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +57,6 @@ NONHOLOMORPHIC = "nonholomorphic"
 PATH_STEPS = 128
 START_RADIUS_FACTOR = 100.0
 NEWTON_TOL = 1e-10
-NEWTON_STEP_TOL = 1e-12
-NEWTON_MAX_ITER = 50
 NEWTON_RESTARTS = 4
 TRACELESS_TOL = 1e-14
 FLAT_QUAD_NODES = 64
@@ -79,12 +85,6 @@ class GapSolution:
     @property
     def alpha2(self) -> float:
         return self.alpha * self.alpha
-
-    @property
-    def map_xi(self) -> float:
-        """Imaginary part of the map argument (xi in the non-holomorphic phase)."""
-        z = complex(self.zeta)
-        return z.imag if np.isfinite(z) else np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +247,11 @@ def solve_holomorphic(
     return _package_holomorphic(metric, complex(w), complex(b[0]), complex(green[0]), float(res[0]), m)
 
 
-def _package_holomorphic(metric, w, b, green, residual, m, note=""):
+def _package_holomorphic(metric, w, b, green, residual, m):
     zeta = complex(np.inf, np.inf) if b == 0 else -w / b
     return GapSolution(
         w=w, phase=HOLOMORPHIC, b=b, alpha=0.0, beta=b.imag,
-        zeta=zeta, green=green, residual=residual, note=note,
+        zeta=zeta, green=green, residual=residual,
     )
 
 
@@ -283,94 +283,28 @@ def _nh_terms(metric: Metric):
     return _flat_nodes(metric)
 
 
-def _nh_residual_jac(mu, wt, x, y, s, beta, m):
-    """Residuals and Jacobian of the two real non-holomorphic equations.
-
-    Uses the B^2-scaled form with denominator
-    E = x^2 + (y + beta mu)^2 + s mu^2, positive for s > 0.
-    """
-    e = x * x + (y + beta * mu) ** 2 + s * mu * mu
-    if np.any(e <= 0.0):
-        return None, None, None
-    f1 = (wt * mu * mu / e).sum() / (m * m) - 1.0
-    f2 = (wt * mu / e).sum()
-    de_db = 2.0 * mu * (y + beta * mu)
-    j11 = -(wt * mu**4 / e**2).sum() / (m * m)
-    j12 = -(wt * mu * mu * de_db / e**2).sum() / (m * m)
-    j21 = -(wt * mu**3 / e**2).sum()
-    j22 = -(wt * mu * de_db / e**2).sum()
-    return np.array([f1, f2]), np.array([[j11, j12], [j21, j22]]), e
-
-
-def _nh_radius_bound(metric: Metric, m: float) -> float:
-    """Outer radius that can support a non-holomorphic solution.
-
-    Any solution has |w|^2 * tr(B^{-2}(...))/N = 1 - m^2(alpha^2+beta^2) < 1
-    with the trace bounded below by m^2/max(mu)^2, hence |w| < max|mu|/m.
-    """
-    return metric_mod.support_radius(metric) / m
-
-
-def _nh_seeds(metric: Metric, x: float, y: float, m: float):
-    s0 = 1.0 / (2.0 * m * m)
-    tr = metric_mod.summary(metric).tr_b_over_n
-    seeds = [(s0, 0.0)]
-    if y != 0.0 and tr != 0.0:
-        # continuation-root guess; exact for unit-modulus metric eigenvalues,
-        # and valid on both sides of the boundary (s of either sign)
-        b0 = tr / (2.0 * m * m * y)
-        sg = 1.0 / (m * m) - x * x - y * y - b0 * b0
-        seeds = [(sg, b0), (s0, b0), (s0, 0.0), (s0, -b0)]
-    return seeds
-
-
 def solve_nonholomorphic(metric: Metric, w: complex, m: float = 1.0) -> GapSolution | None:
-    """Damped-Newton solve for (alpha^2, beta) at a point w.
+    """Newton solve for (alpha^2, beta) at a single point: a batch of one.
 
     Returns None when no solution with alpha^2 > 0 exists (w is outside
     the non-holomorphic region) or when the iteration fails to converge
     from every start; the caller distinguishes those by attempting the
     holomorphic phase next.
     """
-    x, y = float(np.real(w)), float(np.imag(w))
-    mu, wt = _nh_terms(metric)
-    if np.all(mu > 0) or np.all(mu < 0):
-        return None  # definite metric: the trace equation has a fixed sign
-    if abs(w) >= _nh_radius_bound(metric, m):
+    s, beta, res, success = solve_nonholomorphic_batch(metric, np.array([w]), m)
+    if not success[0]:
         return None
-    if x == 0.0 and y == 0.0:
-        # degenerate center point: the two equations collapse to one
-        if abs((wt / mu).sum()) > 1e-12:
-            return None
-        return _package_nonholomorphic(metric, w, 1.0 / (m * m), 0.0, 0.0, m)
-    best = None
-    negatives = 0
-    for s_init, b_init in _iter_seeds(metric, x, y, m):
-        out = _newton_2d(mu, wt, x, y, s_init, b_init, m)
-        if out is None:
-            continue
-        s, beta, res = out
-        if res <= NEWTON_TOL and (best is None or res < best[2]):
-            best = (s, beta, res)
-            if s > 0:
-                break
-            negatives += 1
-            if negatives >= 2:
-                break  # two starts agree that the continuation root has alpha^2 <= 0
-    if best is None:
-        return None
-    s, beta, res = best
-    if s <= 0.0:
-        return None
-    return _package_nonholomorphic(metric, w, s, beta, res, m)
+    return _package_nonholomorphic(metric, w, s[0], beta[0], res[0], m)
 
 
 def solve_nonholomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0):
-    """Vectorized variant over a batch of points.
+    """Lockstep Newton solve for (alpha^2, beta) over a batch of points.
 
-    Returns (s, beta, residual, success): ``success`` marks points with
-    a converged alpha^2 > 0 solution; everything else belongs to the
-    holomorphic phase or needs the scalar fallback.
+    Every point runs the seed schedule of the module docstring until one
+    start converges; later starts run only on the points still
+    unresolved.  Returns (s, beta, residual, success): ``success`` marks
+    points with a converged alpha^2 > 0 solution; everything else
+    belongs to the holomorphic phase.
     """
     w = np.asarray(w, dtype=complex).ravel()
     x, y = w.real.copy(), w.imag.copy()
@@ -381,39 +315,42 @@ def solve_nonholomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0):
     res = np.full(n, np.inf)
     done = np.zeros(n, dtype=bool)
     if np.all(mu > 0) or np.all(mu < 0):
-        return s, beta, res, done
-    out_of_reach = np.abs(w) >= _nh_radius_bound(metric, m)
+        return s, beta, res, done  # definite metric: the trace equation has a fixed sign
+    # any solution has |w|^2 tr(B^{-2}(...))/N = 1 - m^2(alpha^2+beta^2) < 1 with
+    # the trace bounded below by m^2/max(mu)^2, hence |w| < max|mu|/m
+    out_of_reach = np.abs(w) >= metric_mod.support_radius(metric) / m
     s[out_of_reach] = -np.inf
     done[out_of_reach] = True
+    centre = ~done & (w == 0)
+    s[centre] = 1.0 / (m * m) if abs((wt / mu).sum()) <= 1e-12 else -np.inf
+    beta[centre], res[centre], done[centre] = 0.0, 0.0, True
 
     tr = metric_mod.summary(metric).tr_b_over_n
     s0 = np.full(n, 1.0 / (2.0 * m * m))
     with np.errstate(divide="ignore", invalid="ignore"):
         b_guess = np.where(y != 0.0, tr / (2.0 * m * m * np.where(y != 0.0, y, 1.0)), 0.0)
     s_guess = 1.0 / (m * m) - x * x - y * y - b_guess * b_guess
-    for s_seed, b_seed in ((s_guess, b_guess), (s0, b_guess), (s0, np.zeros(n)), (s0, -b_guess)):
+    seeds = ((s_guess, b_guess), (s0, b_guess), (s0, np.zeros(n)), (s0, -b_guess))
+    facs = [1.0 + 0.35 * k for k in range(NEWTON_RESTARTS + 1)]
+    for fac, (s_seed, b_seed) in itertools.product(facs, seeds):
         todo = ~done
         if not np.any(todo):
             break
-        sj, bj, rj, ok = _newton_batch(mu, wt, x[todo], y[todo], s_seed[todo].copy(),
-                                       b_seed[todo].copy(), m)
+        sj, bj, rj, ok = _newton_batch(mu, wt, x[todo], y[todo], s_seed[todo] * fac,
+                                       b_seed[todo] / fac, m)
         idx = np.flatnonzero(todo)[ok]
         s[idx], beta[idx], res[idx] = sj[ok], bj[ok], rj[ok]
         done[idx] = True
-    # scalar damped fallback for stragglers (rare)
-    for i in np.flatnonzero(~done):
-        sol = solve_nonholomorphic(metric, complex(w[i]), m)
-        if sol is not None:
-            s[i], beta[i], res[i], done[i] = sol.alpha2, sol.beta, sol.residual, True
-        else:
-            done[i] = True
-            s[i] = -np.inf  # treated as non-solution below
     success = done & (s > 0.0) & (res <= NEWTON_TOL)
     return s, beta, res, success
 
 
 def _newton_batch(mu, wt, x, y, s, beta, m, iters=40):
-    """Lockstep Newton with positivity-guarded step halving."""
+    """Lockstep Newton with positivity-guarded step halving.
+
+    Uses the B^2-scaled form of the two real equations, with denominator
+    E = x^2 + (y + beta mu)^2 + s mu^2, positive for s > 0.
+    """
     n = len(x)
     act = np.ones(n, dtype=bool)
     mu2 = mu * mu
@@ -440,17 +377,17 @@ def _newton_batch(mu, wt, x, y, s, beta, m, iters=40):
         f1, f2, j11, j12, j21, j22, bad = fjac(s[ia], beta[ia], x[ia], y[ia])
         norm = np.maximum(np.abs(f1), np.abs(f2))
         res[ia] = np.where(bad, np.inf, norm)
-        conv = norm <= NEWTON_TOL
-        act[ia[conv | bad]] = False
-        ia = ia[~(conv | bad)]
+        stop = (norm <= NEWTON_TOL) | bad
+        act[ia[stop]] = False
+        ia = ia[~stop]
         if len(ia) == 0:
             continue
-        f1, f2 = f1[~(conv | bad)], f2[~(conv | bad)]
-        det = j11[~(conv | bad)] * j22[~(conv | bad)] - j12[~(conv | bad)] * j21[~(conv | bad)]
+        f1, f2, j11, j12, j21, j22 = (v[~stop] for v in (f1, f2, j11, j12, j21, j22))
+        det = j11 * j22 - j12 * j21
         sing = np.abs(det) < 1e-300
         det = np.where(sing, 1.0, det)
-        ds = (-f1 * j22[~(conv | bad)] + f2 * j12[~(conv | bad)]) / det
-        db = (-f2 * j11[~(conv | bad)] + f1 * j21[~(conv | bad)]) / det
+        ds = (-f1 * j22 + f2 * j12) / det
+        db = (-f2 * j11 + f1 * j21) / det
         ds[sing] = 0.0
         db[sing] = 0.0
         act[ia[sing]] = False
@@ -468,45 +405,6 @@ def _newton_batch(mu, wt, x, y, s, beta, m, iters=40):
         beta[ia] = beta[ia] + t * db
     ok = res <= NEWTON_TOL
     return s, beta, res, ok
-
-
-def _iter_seeds(metric, x, y, m):
-    seeds = list(_nh_seeds(metric, x, y, m))
-    for k in range(NEWTON_RESTARTS):
-        fac = 1.0 + 0.35 * (k + 1)
-        seeds.extend((s * fac, b / fac) for (s, b) in _nh_seeds(metric, x, y, m))
-    return seeds
-
-
-def _newton_2d(mu, wt, x, y, s, beta, m):
-    v = np.array([s, beta], dtype=float)
-    f, jac, _ = _nh_residual_jac(mu, wt, x, y, v[0], v[1], m)
-    if f is None:
-        return None
-    for _ in range(NEWTON_MAX_ITER):
-        norm = np.max(np.abs(f))
-        if norm <= NEWTON_TOL:
-            return v[0], v[1], norm
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return None
-        phi0 = float(f @ f)
-        t = 1.0
-        while t >= 2.0**-24:
-            cand = v + t * step
-            fc, jc, _ = _nh_residual_jac(mu, wt, x, y, cand[0], cand[1], m)
-            if fc is not None and float(fc @ fc) <= phi0 * (1.0 - 1e-4 * t):
-                v, f, jac = cand, fc, jc
-                break
-            t /= 2.0
-        else:
-            return None
-        if np.max(np.abs(t * step)) < NEWTON_STEP_TOL * (1.0 + np.max(np.abs(v))):
-            norm = np.max(np.abs(f))
-            return (v[0], v[1], norm) if norm <= NEWTON_TOL else None
-    norm = np.max(np.abs(f))
-    return (v[0], v[1], norm) if norm <= NEWTON_TOL else None
 
 
 def _package_nonholomorphic(metric, w, s, beta, res, m):
@@ -528,41 +426,33 @@ def _package_nonholomorphic(metric, w, s, beta, res, m):
 # phase classification, boundary, densities, identities
 # ---------------------------------------------------------------------------
 
-def classify_phase(metric: Metric, w: complex, m: float = 1.0,
-                   paths: np.ndarray | None = None) -> GapSolution:
-    """Non-holomorphic solve first; holomorphic fallback.
+def classify_phase(metric: Metric, w: complex, m: float = 1.0) -> GapSolution:
+    """Classify a single point: ``classify_grid`` of one point.
 
-    For w exactly on the real axis inside the holomorphic cut the
-    branch is ambiguous; the upper side limit is returned and noted on
-    the solution.
+    A point exactly on a real-axis cut comes back as its upper side
+    limit, noted on the solution.  Raises BranchPointProximity where
+    ``classify_grid`` returns None: the continuation track collided on
+    the first attempt and on the retry.
     """
-    sol = solve_nonholomorphic(metric, w, m)
-    if sol is not None:
-        return sol
-    try:
-        return solve_holomorphic(metric, w, m, paths=paths)
-    except BranchPointProximity:
-        if float(np.imag(w)) == 0.0:
-            # Side limit just above the cut.  The offset leans mostly along
-            # the real axis so the continuation ray keeps a tiny angle and
-            # stays in the eigenvalue-free cone around the axis.
-            eps = 1e-9 * max(1.0, 2.0 * metric_mod.support_radius(metric) / m)
-            shift = eps * (1.0 if float(np.real(w)) >= 0.0 else -1.0)
-            side = solve_holomorphic(metric, complex(w) + shift + 1j * eps * 1e-3, m)
-            side.w = complex(w)
-            side.note = "real-axis cut: upper side limit"
-            return side
-        raise
+    sol = classify_grid(metric, [w], m)[0]
+    if sol is None:
+        raise BranchPointProximity(f"branch collision on the continuation path to w={w}")
+    return sol
 
 
-def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> list[GapSolution]:
+def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> list[GapSolution | None]:
     """Classify a batch of points, batching each phase's solver.
 
-    ``paths_fn(w_subset) -> (L, len(w_subset))`` optionally supplies
-    blob-avoiding continuation waypoints for the holomorphic leftover
-    points (used when the caller knows the geometry, e.g. signature
-    metrics).  Points exactly on a real-axis cut get upper side limits,
-    marked in ``note``.
+    One ``solve_nonholomorphic_batch`` call settles the non-holomorphic
+    points; the others take at most two ``solve_holomorphic_batch``
+    calls.  The first continues exact real-axis points along default
+    rays and every other point along ``paths_fn(w_subset) -> (L,
+    len(w_subset))`` when given: blob-avoiding waypoints from a caller
+    that knows the geometry, e.g. for signature metrics.  One retry then
+    covers every point whose track collided.  A real-axis point is
+    retried just above the cut, and its upper side limit is returned,
+    marked in ``note``; any other point is retried on default rays.  A
+    point that collides again is returned as None.
     """
     w = np.asarray(w, dtype=complex).ravel()
     out: list[GapSolution | None] = [None] * len(w)
@@ -570,22 +460,42 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> list[GapS
     for i in np.flatnonzero(success):
         out[i] = _package_nonholomorphic(metric, complex(w[i]), s[i], beta[i], res[i], m)
     rest = np.flatnonzero(~success)
-    # exact real-axis points may sit on a cut; handle them one by one
-    on_axis = rest[np.imag(w[rest]) == 0.0]
-    for i in on_axis:
-        out[i] = classify_phase(metric, complex(w[i]), m)
-    rest = rest[np.imag(w[rest]) != 0.0]
-    if len(rest):
-        wr = w[rest]
-        paths = paths_fn(wr) if paths_fn is not None else None
-        b, green, hres, collided = solve_holomorphic_batch(metric, wr, m, paths=paths)
-        for k, i in enumerate(rest):
-            if not collided[k]:
-                out[i] = _package_holomorphic(metric, complex(wr[k]), complex(b[k]),
-                                              complex(green[k]), float(hres[k]), m)
-            else:
-                out[i] = classify_phase(metric, complex(wr[k]), m)  # cut side limit
+    if len(rest) == 0:
+        return out
+    wr = w[rest]
+    on_axis = wr.imag == 0.0
+    paths = None
+    if paths_fn is not None:
+        paths = paths_fn(wr)
+        if np.any(on_axis):
+            rays = _default_paths(wr[on_axis], metric, m, PATH_STEPS)
+            if len(paths) < len(rays):
+                paths = _hold_start(paths, len(rays))
+            paths[:, on_axis] = _hold_start(rays, len(paths))
+    b, green, hres, collided = solve_holomorphic_batch(metric, wr, m, paths=paths)
+    wh = wr.copy()              # where each holomorphic solution was evaluated
+    redo = np.flatnonzero(collided)
+    if len(redo):
+        # Side limit just above the cut.  The offset leans mostly along
+        # the real axis so the continuation ray keeps a tiny angle and
+        # stays in the eigenvalue-free cone around the axis.
+        eps = 1e-9 * max(1.0, 2.0 * metric_mod.support_radius(metric) / m)
+        shift = eps * np.where(wr[redo].real >= 0.0, 1.0, -1.0) + 1j * eps * 1e-3
+        wh[redo] = np.where(on_axis[redo], wr[redo] + shift, wr[redo])
+        b[redo], green[redo], hres[redo], collided[redo] = solve_holomorphic_batch(
+            metric, wh[redo], m)
+    for k in np.flatnonzero(~collided):
+        sol = _package_holomorphic(metric, complex(wh[k]), complex(b[k]),
+                                   complex(green[k]), float(hres[k]), m)
+        if wh[k] != wr[k]:
+            sol.w, sol.note = complex(wr[k]), "real-axis cut: upper side limit"
+        out[rest[k]] = sol
     return out
+
+
+def _hold_start(paths: np.ndarray, rows: int) -> np.ndarray:
+    """Pad to ``rows`` waypoints by holding the start, which keeps the tracked branch."""
+    return np.concatenate([np.repeat(paths[:1], rows - len(paths), axis=0), paths])
 
 
 def phase_boundary(metric: Metric, thetas, m: float = 1.0,
@@ -593,30 +503,29 @@ def phase_boundary(metric: Metric, thetas, m: float = 1.0,
                    tol: float = 1e-9) -> list[tuple[float, list[float]]]:
     """Radial crossings of the phase boundary along each direction.
 
-    Scans r on each ray for changes of non-holomorphic solvability and
-    bisects every bracket to ``tol``.  Rays that never enter the
-    non-holomorphic region contribute an empty crossing list.
+    Scans r on every ray at once for changes of non-holomorphic
+    solvability and bisects all brackets in lockstep to ``tol``.  Rays
+    that never enter the non-holomorphic region contribute an empty
+    crossing list.
     """
     if r_max is None:
         r_max = 1.5 * (2.0 / m) * max(metric_mod.support_radius(metric), 1.0)
-    out = []
-    for theta in np.atleast_1d(thetas):
-        e = np.exp(1j * float(theta))
-        rs = np.linspace(r_max / scan, r_max, scan)
-        inside = np.array([solve_nonholomorphic(metric, r * e, m) is not None for r in rs])
-        crossings = []
-        for i in np.flatnonzero(inside[:-1] != inside[1:]):
-            lo, hi = rs[i], rs[i + 1]
-            flo = inside[i]
-            while hi - lo > tol:
-                mid = (lo + hi) / 2.0
-                if (solve_nonholomorphic(metric, mid * e, m) is not None) == flo:
-                    lo = mid
-                else:
-                    hi = mid
-            crossings.append((lo + hi) / 2.0)
-        out.append((float(theta), crossings))
-    return out
+    thetas = np.atleast_1d(thetas).astype(float)
+    e = np.exp(1j * thetas)
+    rs = np.linspace(r_max / scan, r_max, scan)
+    inside = solve_nonholomorphic_batch(metric, np.outer(e, rs), m)[3].reshape(len(e), scan)
+    ray, k = np.nonzero(inside[:, :-1] != inside[:, 1:])
+    lo, hi, flo = rs[k], rs[k + 1], inside[ray, k]
+    while True:
+        act = np.flatnonzero(hi - lo > tol)
+        if len(act) == 0:
+            break
+        mid = (lo[act] + hi[act]) / 2.0
+        same = solve_nonholomorphic_batch(metric, mid * e[ray[act]], m)[3] == flo[act]
+        lo[act] = np.where(same, mid, lo[act])
+        hi[act] = np.where(same, hi[act], mid)
+    crossings = (lo + hi) / 2.0
+    return [(float(th), crossings[ray == i].tolist()) for i, th in enumerate(thetas)]
 
 
 def rho2_numeric(metric: Metric, xs: np.ndarray, ys: np.ndarray, m: float = 1.0):
@@ -628,15 +537,15 @@ def rho2_numeric(metric: Metric, xs: np.ndarray, ys: np.ndarray, m: float = 1.0)
     """
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
-    g = np.empty((len(xs), len(ys)), dtype=complex)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            sol = solve_nonholomorphic(metric, complex(x, y), m)
-            if sol is None:
-                raise GapSolveError(
-                    f"grid point ({x}, {y}) is not interior to the non-holomorphic region"
-                )
-            g[i, j] = sol.green
+    w = (xs[:, None] + 1j * ys[None, :]).ravel()
+    s, beta, res, success = solve_nonholomorphic_batch(metric, w, m)
+    if not np.all(success):
+        bad = w[np.argmin(success)]
+        raise GapSolveError(
+            f"grid point ({bad.real}, {bad.imag}) is not interior to the non-holomorphic region"
+        )
+    g = np.array([_package_nonholomorphic(metric, w[i], s[i], beta[i], res[i], m).green
+                  for i in range(len(w))]).reshape(len(xs), len(ys))
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
     gx = (g[2:, 1:-1] - g[:-2, 1:-1]) / (2.0 * hx)

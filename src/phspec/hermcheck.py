@@ -32,6 +32,7 @@ import numpy as np
 from . import ensemble as ens
 from . import gapsolve
 from . import metric as metric_mod
+from . import spectral
 from .metric import Metric
 
 
@@ -104,18 +105,6 @@ def check_block_resolvent(a: np.ndarray, metric: Metric, z: complex) -> dict:
     }
 
 
-def _match_multisets(u: np.ndarray, v: np.ndarray) -> float:
-    """Sup distance under greedy nearest matching of two same-size multisets."""
-    v = list(v)
-    worst = 0.0
-    for x in u:
-        d = [abs(x - y) for y in v]
-        j = int(np.argmin(d))
-        worst = max(worst, d[j])
-        v.pop(j)
-    return worst
-
-
 def check_spectrum_symmetry(a: np.ndarray, metric: Metric) -> dict:
     """Spectrum of H: closed under z -> -z and z -> z*, squares to spec(phi)."""
     n = a.shape[0]
@@ -123,11 +112,11 @@ def check_spectrum_symmetry(a: np.ndarray, metric: Metric) -> dict:
     dm = build_doubled(a, metric)
     eigs_h = np.linalg.eigvals(dm.h)
     scale = float(np.max(np.abs(eigs_h)) + 1e-300)
-    neg = _match_multisets(eigs_h, -eigs_h) / scale
-    conj = _match_multisets(eigs_h, np.conj(eigs_h)) / scale
+    neg = spectral.multiset_distance(eigs_h, -eigs_h) / scale
+    conj = spectral.multiset_distance(eigs_h, np.conj(eigs_h)) / scale
     eigs_phi = np.linalg.eigvals(a * b[None, :])
     doubled_phi = np.concatenate([eigs_phi, eigs_phi])
-    square = _match_multisets(eigs_h**2, doubled_phi) / max(scale**2, 1e-300)
+    square = spectral.multiset_distance(eigs_h**2, doubled_phi) / max(scale**2, 1e-300)
     return {"negation": float(neg), "conjugation": float(conj), "square_vs_phi": float(square)}
 
 

@@ -171,14 +171,6 @@ def support_radius(metric: Metric) -> float:
     return max(metric.mu1, metric.mu2)
 
 
-def min_abs_support(metric: Metric) -> float:
-    """min |mu| over the support (positive by invertibility)."""
-    if is_atomic(metric):
-        vals, _ = atoms(metric)
-        return float(np.min(np.abs(vals)))
-    return min(metric.mu1 - metric.lminus, metric.mu2 - metric.lplus)
-
-
 def realize(metric: Metric, n: int) -> np.ndarray:
     """Diagonal entries of B at matrix size ``n``.
 

@@ -107,17 +107,28 @@ def classify(eigs: np.ndarray, tol_factor: float = REAL_TOL_FACTOR,
 def conjugation_mismatch(eigs: np.ndarray) -> float:
     """Sup distance between the spectrum and its conjugate as multisets.
 
-    Greedy nearest matching (lexicographic sorting would mispair noisy
-    conjugate partners with nearly equal real parts).  Zero up to
-    solver noise for any pseudo-hermitian matrix.
+    Zero up to solver noise for any pseudo-hermitian matrix.
     """
     a = np.asarray(eigs, complex)
-    b = np.conj(a)
-    free = np.ones(len(b), dtype=bool)
+    return multiset_distance(a, np.conj(a))
+
+
+def multiset_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """Sup distance between two same-size multisets under greedy matching.
+
+    Each element of ``u`` in turn takes the nearest unmatched element of
+    ``v`` (lexicographic sorting would mispair noisy conjugate partners
+    with nearly equal real parts).
+    """
+    v = np.asarray(v, complex)
+    free = np.ones(len(v), dtype=bool)
     worst = 0.0
-    for x in a:
+    for x in np.asarray(u, complex):
         idx = np.flatnonzero(free)
-        d = np.abs(b[idx] - x)
+        diff = v[idx] - x
+        # hypot rounds like the scalar complex abs; the vectorised np.abs
+        # can differ from it in the last bit
+        d = np.hypot(diff.real, diff.imag)
         j = int(np.argmin(d))
         worst = max(worst, float(d[j]))
         free[idx[j]] = False
