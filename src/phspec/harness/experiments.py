@@ -3,6 +3,7 @@ emits CSV data plus a ComparisonReport."""
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -350,7 +351,12 @@ def run_gap_grid(cfg: RunConfig) -> ComparisonReport:
 def run_verify(cfg: RunConfig) -> ComparisonReport:
     """Exact finite-N identities at small N plus the averaged gap equations."""
     rep = _new_report(cfg)
-    tol = THRESHOLDS["finite_n_identity"]
+    tolerances = {}
+
+    def check(name, value, tol):
+        tolerances[name] = tol
+        rep.add_check(name, value <= tol, value)
+
     with Stopwatch() as sw:
         n_small = 8
         metric_small = Signature(k=2, n=n_small)
@@ -385,7 +391,8 @@ def run_verify(cfg: RunConfig) -> ComparisonReport:
                 worst["inter_33_22"] = max(worst["inter_33_22"], ids["interrelation_33_22"])
                 worst["adjoint"] = max(worst["adjoint"], ids["adjoint_14_41"])
         for name, value in worst.items():
-            rep.add_check(f"identity[{name}]", value <= tol, value)
+            check(f"identity[{name}]", value, THRESHOLDS["finite_n_identity"])
+        sw.lap("identities")
 
         # averaged self-consistency at a point inside the pair-support region
         n_avg = 64
@@ -395,46 +402,39 @@ def run_verify(cfg: RunConfig) -> ComparisonReport:
         w = (0.05 + 0.55j) / cfg.m**2
         gap = hermcheck.averaged_gap_residual(cfg_avg, 0.1, np.sqrt(w), cfg_avg.num_samples)
         rel_tol = THRESHOLDS["averaged_gap_rel"]
-        rep.add_check("avg_a_equals_c", gap.rel_ac <= rel_tol, gap.rel_ac)
-        rep.add_check("avg_eq_a", gap.eq_a_residual <= rel_tol, gap.eq_a_residual)
-        rep.add_check("avg_eq_b", gap.eq_b_residual <= rel_tol, gap.eq_b_residual)
-        rep.add_check("avg_eq_c", gap.eq_c_residual <= rel_tol, gap.eq_c_residual)
-        rep.add_check("avg_adjoint_14_41", gap.adjoint_residual <= 1e-10, gap.adjoint_residual)
-        rep.add_check("avg_re11_re44",
-                      max(gap.re11_over_mag, gap.re44_over_mag) <= 1e-10,
-                      max(gap.re11_over_mag, gap.re44_over_mag))
+        check("avg_a_equals_c", gap.rel_ac, rel_tol)
+        check("avg_eq_a", gap.eq_a_residual, rel_tol)
+        check("avg_eq_b", gap.eq_b_residual, rel_tol)
+        check("avg_eq_c", gap.eq_c_residual, rel_tol)
+        check("avg_adjoint_14_41", gap.adjoint_residual, 1e-10)
+        check("avg_re11_re44", max(gap.re11_over_mag, gap.re44_over_mag), 1e-10)
         rep.metrics["averaged_gap"] = gap.as_dict()
+        sw.lap("averaged_gap")
 
         mc = hermcheck.resolvent_vs_formula(
             ens.EnsembleConfig(n=128, m=cfg.m, metric=Signature(k=32, n=128),
                                master_seed=cfg.seed + 1, num_samples=min(cfg.samples, 500)),
             z=np.sqrt(3.0 + 0.0j) / cfg.m)
-        rep.add_check("resolvent_mc", mc["rel_deviation"] <= THRESHOLDS["resolvent_mc_rel"],
-                      mc["rel_deviation"])
+        check("resolvent_mc", mc["rel_deviation"], THRESHOLDS["resolvent_mc_rel"])
+        sw.lap("resolvent")
+    rep.timings = sw.laps
     rep.runtime_seconds = sw.seconds
     rep.write(_out(cfg, "report.json"))
-    _write_verification_array(cfg, rep)
+    _write_verification_array(cfg, rep, tolerances)
     return rep
 
 
-def _write_verification_array(cfg: RunConfig, rep: ComparisonReport) -> None:
+def _write_verification_array(cfg: RunConfig, rep: ComparisonReport,
+                              tolerances: dict) -> None:
     """Flat check array: {check_name, params, residual, tolerance, pass}."""
-    import json
-
-    tol_for = {
-        "avg": THRESHOLDS["averaged_gap_rel"],
-        "identity": THRESHOLDS["finite_n_identity"],
-        "resolvent_mc": THRESHOLDS["resolvent_mc_rel"],
-    }
     records = []
     for name, ok in sorted(rep.checks.items()):
         val = rep.metrics.get(name)
-        tol = next((t for prefix, t in tol_for.items() if name.startswith(prefix)), None)
         records.append({
             "check_name": name,
             "params": {"n": cfg.n, "m": cfg.m, "seed": cfg.seed, "samples": cfg.samples},
             "residual": val if isinstance(val, (int, float)) else None,
-            "tolerance": tol,
+            "tolerance": tolerances[name],
             "pass": ok,
         })
     with open(_out(cfg, "verification.json"), "w") as fh:

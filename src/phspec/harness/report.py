@@ -15,6 +15,7 @@ class ComparisonReport:
     checks: dict = field(default_factory=dict)        # name -> bool
     metrics: dict = field(default_factory=dict)       # name -> number/str
     skip_counts: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)       # section -> seconds
     runtime_seconds: float = 0.0
 
     @property
@@ -33,6 +34,7 @@ class ComparisonReport:
             "checks": self.checks,
             "metrics": _plain(self.metrics),
             "skip_counts": self.skip_counts,
+            "timings": self.timings,
             "runtime_seconds": self.runtime_seconds,
             "config": self.config,
             "config_hash": self.config_hash,
@@ -58,9 +60,18 @@ def _plain(obj):
 
 
 class Stopwatch:
+    """Wall time of a ``with`` block, split into named laps by ``lap``."""
+
     def __enter__(self):
-        self.t0 = time.perf_counter()
+        self.t0 = self.t_lap = time.perf_counter()
+        self.laps = {}
         return self
+
+    def lap(self, name: str):
+        """Record the time since the previous lap (or the start) as ``name``."""
+        now = time.perf_counter()
+        self.laps[name] = now - self.t_lap
+        self.t_lap = now
 
     def __exit__(self, *exc):
         self.seconds = time.perf_counter() - self.t0

@@ -19,8 +19,7 @@ def _one_spectrum(args):
     metric_cfg, n, m, master_seed, idx = args
     metric = metric_mod.from_config(metric_cfg)
     seed = ens.mix_seed(master_seed, idx)
-    a = ens.sample_gue(n, m, seed)
-    phi = a * metric_mod.realize(metric, n)[None, :]
+    phi = ens.make_ph(ens.sample_gue(n, m, seed), metric).phi
     try:
         eigs = spectral.eigenvalues(phi)
     except spectral.EigensolveError:

@@ -16,6 +16,9 @@ routes through two auxiliary matrices:
   interrelations) and, after averaging, the self-consistent equations
   that the large-N gap solver assumes.
 
+Ghat is never formed: ``block_traces`` reduces it by two Schur
+complements to the inverse of one dense N x N matrix.
+
 Everything here is numerical: the identities are evaluated on random
 samples at small N and reported as residuals.  The spectral parameter
 is kept strictly nonzero (s in [0.05, 0.5] in the tests); the s -> 0
@@ -71,8 +74,8 @@ def check_block_resolvent(a: np.ndarray, metric: Metric, z: complex) -> dict:
     Near-singular shifts (z^2 close to an eigenvalue of phi) are skipped.
     """
     n = a.shape[0]
-    b = metric_mod.realize(metric, n)
-    phi = a * b[None, :]
+    sample = ens.make_ph(a, metric)
+    phi, b = sample.phi, sample.b_diag
     dm = build_doubled(a, metric)
     shift = z * np.eye(2 * n) - dm.h
     core = z * z * np.eye(n) - phi
@@ -107,14 +110,12 @@ def check_block_resolvent(a: np.ndarray, metric: Metric, z: complex) -> dict:
 
 def check_spectrum_symmetry(a: np.ndarray, metric: Metric) -> dict:
     """Spectrum of H: closed under z -> -z and z -> z*, squares to spec(phi)."""
-    n = a.shape[0]
-    b = metric_mod.realize(metric, n)
     dm = build_doubled(a, metric)
     eigs_h = np.linalg.eigvals(dm.h)
     scale = float(np.max(np.abs(eigs_h)) + 1e-300)
     neg = spectral.multiset_distance(eigs_h, -eigs_h) / scale
     conj = spectral.multiset_distance(eigs_h, np.conj(eigs_h)) / scale
-    eigs_phi = np.linalg.eigvals(a * b[None, :])
+    eigs_phi = np.linalg.eigvals(ens.make_ph(a, metric).phi)
     doubled_phi = np.concatenate([eigs_phi, eigs_phi])
     square = spectral.multiset_distance(eigs_h**2, doubled_phi) / max(scale**2, 1e-300)
     return {"negation": float(neg), "conjugation": float(conj), "square_vs_phi": float(square)}
@@ -133,25 +134,38 @@ class BlockTraceSet:
 
 
 def block_traces(a: np.ndarray, metric: Metric, s: float, z: complex) -> BlockTraceSet:
-    """Direct dense inversion of the 4N x 4N hermitized resolvent at eta = i s."""
+    """The sixteen block traces of Ghat at eta = i s, by Schur reduction.
+
+    Ordered (1, 4 | 2, 3), the (2, 3) block inverts site by site to
+    [[d1, d2], [d2, d1]], d1 = eta/(eta^2 - b^2), d2 = b/(eta^2 - b^2).
+    Its Schur complement S = [[E, -C1], [-C2, E]], with C1 = A + z^2 d2,
+    C2 = A + z*^2 d2 and E = eta - |z|^2 d1 diagonal and nonzero for real
+    b and s != 0, inverts through T = E - C2 E^{-1} C1: the (4, 4) block
+    of S^{-1} is T^{-1}, and the diagonals of the other three follow by
+    row dot products.  The other blocks of Ghat couple S^{-1} to the
+    (2, 3) block through diagonals, so theirs are per-site 2 x 2 products.
+    """
     if s == 0.0:
         raise ValueError("s must be nonzero (the s -> 0 limit is distributional)")
     n = a.shape[0]
-    b = np.diag(metric_mod.realize(metric, n)).astype(complex)
-    eye = np.eye(n, dtype=complex)
-    zero = np.zeros((n, n), dtype=complex)
-    eta = 1j * s
-    big = np.block([
-        [eta * eye, zero, z * eye, -a],
-        [zero, eta * eye, -b, z * eye],
-        [np.conj(z) * eye, -b, eta * eye, zero],
-        [-a, np.conj(z) * eye, zero, eta * eye],
-    ])
-    inv = np.linalg.inv(big)
+    b = metric_mod.realize(metric, n)
+    eta, zc = 1j * s, np.conj(z)
+    d1, d2 = eta / (eta * eta - b * b), b / (eta * eta - b * b)
+    e = eta - abs(z) ** 2 * d1
+    c1, c2 = a + np.diag(z * z * d2), a + np.diag(zc * zc * d2)
+    t_inv = np.linalg.inv(np.diag(e) - c2 @ (c1 / e[:, None]))
+    x11 = (1.0 + np.einsum("ik,ki->i", c1 @ t_inv, c2) / e) / e
+    x = np.array([[x11, np.einsum("ik,ki->i", c1, t_inv) / e],
+                  [np.einsum("ik,ki->i", t_inv, c2) / e, np.diagonal(t_inv)]])
+    d_inv = np.array([[d1, d2], [d2, d1]])
+    q = np.array([[0.0, z], [zc, 0.0]])   # couples (1, 4) to (2, 3) and back
+    qd, dq = np.einsum("ab,bci->aci", q, d_inv), np.einsum("abi,bc->aci", d_inv, q)
+    outer, inner = [0, 3], [1, 2]
     traces = np.empty((4, 4), dtype=complex)
-    for al in range(4):
-        for be in range(4):
-            traces[al, be] = np.trace(inv[al * n:(al + 1) * n, be * n:(be + 1) * n]) / n
+    traces[np.ix_(outer, outer)] = x.mean(-1)
+    traces[np.ix_(outer, inner)] = -np.einsum("abi,bci->ac", x, qd) / n
+    traces[np.ix_(inner, outer)] = -np.einsum("abi,bci->ac", dq, x) / n
+    traces[np.ix_(inner, inner)] = d_inv.mean(-1) + np.einsum("abi,bci,cdi->ad", dq, x, qd) / n
     return BlockTraceSet(s=float(s), z=complex(z), traces=traces)
 
 

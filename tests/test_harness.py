@@ -139,6 +139,18 @@ class TestExperiments:
         assert lines[0] == "re,im,is_real"
         assert len(lines) == 64 * 10 + 1
 
+    def test_verify_records_tolerances_and_timings(self, tmp_path):
+        cfg = make_cfg(tmp_path, experiment="verify", samples=4)
+        rep = X.run_verify(cfg)
+        records = json.loads((tmp_path / "out" / "verification.json").read_text())
+        tol = {r["check_name"]: r["tolerance"] for r in records}
+        assert tol["avg_adjoint_14_41"] == 1e-10
+        assert tol["avg_re11_re44"] == 1e-10
+        data = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert set(data["timings"]) == {"identities", "averaged_gap", "resolvent"}
+        total = sum(data["timings"].values())
+        assert abs(total - rep.runtime_seconds) <= 0.05 * rep.runtime_seconds
+
 
 class TestCli:
     def _write_cfg(self, tmp_path, **kw):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phspec import ensemble as E
 from phspec import hermcheck as H
@@ -92,6 +93,49 @@ class TestBlockTraces:
                 assert err < prev * 0.7   # shrinks roughly like s^2
             prev = err
         assert err <= 1e-3
+
+
+def _dense_block_traces(a, b, s, z):
+    """Reference: the sixteen block traces from the full 4N x 4N inverse."""
+    n = a.shape[0]
+    bm = np.diag(b).astype(complex)
+    eye = np.eye(n, dtype=complex)
+    zero = np.zeros((n, n), dtype=complex)
+    eta = 1j * s
+    inv = np.linalg.inv(np.block([
+        [eta * eye, zero, z * eye, -a],
+        [zero, eta * eye, -bm, z * eye],
+        [np.conj(z) * eye, -bm, eta * eye, zero],
+        [-a, np.conj(z) * eye, zero, eta * eye],
+    ]))
+    return np.array([[np.trace(inv[al * n:(al + 1) * n, be * n:(be + 1) * n]) / n
+                      for be in range(4)] for al in range(4)])
+
+
+def _diagonal_metric(mu):
+    """ExplicitDiagonal without its nonzero check, so that b_i = 0 (where the
+    (2, 3) block decouples) reaches the reduction too."""
+    metric = object.__new__(M.ExplicitDiagonal)
+    object.__setattr__(metric, "mu", tuple(mu))
+    return metric
+
+
+_coord = st.floats(-1.5, 1.5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mu=st.lists(st.one_of(st.just(0.0), st.sampled_from([-1.0, 1.0]), st.floats(-2.0, 2.0)),
+                   min_size=2, max_size=24),
+       seed=st.integers(0, 2**32 - 1),
+       s=st.builds(lambda mag, sign: sign * mag, st.floats(0.01, 1.0), st.sampled_from([-1, 1])),
+       z=st.one_of(st.just(0j), st.builds(complex, _coord, st.just(0.0)),
+                   st.builds(complex, _coord, _coord)))
+def test_block_traces_match_dense_inverse(mu, seed, s, z):
+    """The Schur-reduced traces equal those of the dense 4N x 4N inverse."""
+    a = E.sample_gue(len(mu), 1.0, seed)
+    got = H.block_traces(a, _diagonal_metric(mu), s, z).traces
+    ref = _dense_block_traces(a, np.array(mu), s, z)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestAveragedGap:
