@@ -8,6 +8,7 @@ import os
 
 import numpy as np
 
+from .. import _blas
 from .. import ensemble as ens
 from .. import gapsolve
 from .. import hermcheck
@@ -357,7 +358,8 @@ def run_verify(cfg: RunConfig) -> ComparisonReport:
         tolerances[name] = tol
         rep.add_check(name, value <= tol, value)
 
-    with Stopwatch() as sw:
+    # thousands of small dense problems: one BLAS thread keeps them steady
+    with _blas.single_thread(), Stopwatch() as sw:
         n_small = 8
         metric_small = Signature(k=2, n=n_small)
         worst = {"gamma": 0.0, "block": 0.0, "trace_pair": 0.0, "half_trace": 0.0,

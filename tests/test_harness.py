@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from phspec import cli
+from phspec import _blas, cli
 from phspec import metric as M
 from phspec.harness import config as C
 from phspec.harness import experiments as X
@@ -150,6 +150,19 @@ class TestExperiments:
         assert set(data["timings"]) == {"identities", "averaged_gap", "resolvent"}
         total = sum(data["timings"].values())
         assert abs(total - rep.runtime_seconds) <= 0.05 * rep.runtime_seconds
+
+
+def test_single_thread_scopes_blas_threads():
+    controls = _blas._thread_controls()
+    if controls is None:
+        pytest.skip("numpy is not linked to a bundled OpenBLAS")
+    get, _ = controls
+    before = get()
+    with pytest.raises(RuntimeError):
+        with _blas.single_thread():
+            assert get() == 1
+            raise RuntimeError
+    assert get() == before
 
 
 class TestCli:
