@@ -1,13 +1,19 @@
-"""Scoped thread count of the OpenBLAS that numpy is linked to.
+"""Thread count of the OpenBLAS that numpy is linked to.
 
-The finite-N checks solve thousands of small dense problems (N <= 128)
-one after another.  OpenBLAS splits each over its thread pool, which
-gains little at that size; and while another process holds a core, a
-call now and then waits milliseconds for a descheduled worker.  At
-N = 64 and 128 such stalls made single calls 20-100x their median
-time, so the time of a whole run moved by tens of percent between
-runs.  ``single_thread`` runs a block on one BLAS thread.  Where
-numpy's BLAS is not OpenBLAS it changes nothing.
+Two kinds of work run on one BLAS thread.  The finite-N checks solve
+thousands of small dense problems (N <= 128) one after another;
+OpenBLAS splits each over its thread pool, which gains little at that
+size, and while another process holds a core a call now and then waits
+milliseconds for a descheduled worker, so single calls took 20-100x
+their median time.  The Monte Carlo eigensolves (N = 256-1024) are
+faster on one thread per process, with the samples spread over the
+cores instead, and their eigenvalue bits then no longer depend on the
+machine's core count.
+
+``single_thread`` runs a block on one BLAS thread and restores the
+count after; ``pin_single_thread`` sets one thread for the rest of the
+process (the initializer of the sampling workers).  Where numpy's BLAS
+is not OpenBLAS both change nothing.
 """
 
 from __future__ import annotations
@@ -41,6 +47,19 @@ def _thread_controls():
                 put.restype, put.argtypes = None, [ctypes.c_int]
                 return get, put
     return None
+
+
+def num_threads() -> int | None:
+    """numpy's OpenBLAS thread count now, or None where it cannot be read."""
+    controls = _thread_controls()
+    return None if controls is None else controls[0]()
+
+
+def pin_single_thread() -> None:
+    """Run every later BLAS call of this process on one thread."""
+    controls = _thread_controls()
+    if controls is not None:
+        controls[1](1)
 
 
 @contextlib.contextmanager

@@ -27,6 +27,7 @@ from . import metric as metric_mod
 from . import theory
 from .harness import config as config_mod
 from .harness import experiments, io
+from .harness.sampling import map_spectra
 from .metric import Signature
 
 
@@ -53,15 +54,14 @@ def _load(args, force_experiment=None):
 def cmd_sample(args) -> int:
     cfg = _load(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    rows = []
-    for i in range(cfg.samples):
-        sample = ens.draw_sample(
-            ens.EnsembleConfig(n=cfg.n, m=cfg.m, metric=cfg.metric,
-                               master_seed=cfg.seed, num_samples=cfg.samples), i)
-        eigs = np.linalg.eigvals(sample.phi)
-        rows.extend((i, v.real, v.imag) for v in eigs)
-        if cfg.dump_samples:
-            ens.dump_sample(sample, cfg.m, os.path.join(cfg.out_dir, f"phi_{i:06d}.bin"))
+    samples, _ = map_spectra(cfg.metric, cfg.n, cfg.m, cfg.seed, cfg.samples, cfg.threads)
+    rows = [(s.sample_index, v.real, v.imag) for s in samples for v in s.eigs]
+    if cfg.dump_samples:
+        ens_cfg = ens.EnsembleConfig(n=cfg.n, m=cfg.m, metric=cfg.metric,
+                                     master_seed=cfg.seed, num_samples=cfg.samples)
+        for i in range(cfg.samples):
+            ens.dump_sample(ens.draw_sample(ens_cfg, i), cfg.m,
+                            os.path.join(cfg.out_dir, f"phi_{i:06d}.bin"))
     io.write_csv(os.path.join(cfg.out_dir, "eigenvalues.csv"),
                  ["sample", "re", "im"], rows)
     print(f"wrote {len(rows)} eigenvalues from {cfg.samples} samples to {cfg.out_dir}")

@@ -27,12 +27,15 @@ handled by one Newton iteration on the sign-free unknowns (alpha^2,
 beta), run in lockstep over a batch of points, with each step halved
 until the denominators stay positive and the residual drops.  The starts
 are (1/m^2 - |w|^2 - beta0^2, beta0) with the continuation-root guess
-beta0 = (tr B/N)/(2 m^2 Im w), then alpha^2 = 1/(2 m^2) with beta =
-beta0, 0, -beta0; points that none of them resolves restart from
-(f alpha^2, beta/f) for f = 1.35, 1.7, 2.05, 2.4.  The first converged
-start decides, and ``alpha^2 <= 0`` there is the clean no-solution exit
-that marks w as holomorphic.  At w = 0, where the equations collapse to
-one, alpha^2 = 1/m^2, beta = 0 solves them exactly when tr B^{-1} = 0.
+beta0 = (tr B/N)/(2 m^2 Im w) (0 on the axis), then alpha^2 = 1/(2 m^2)
+with beta = beta0, 0, -beta0; points that none of them resolves restart
+from (f alpha^2, beta/f) for f = 1.35, 1.7, 2.05, 2.4.  The first
+converged start decides, and ``alpha^2 <= 0`` there is the clean
+no-solution exit that marks w as holomorphic.  A point with 0 < |Im w| <
+TINY_IM is solved as on the axis: beta0 and the first Newton step in
+beta, both ~ 1/Im w, would overflow once squared.  At w = 0, where the
+equations collapse to one, alpha^2 = 1/m^2, beta = 0 solves them
+exactly when tr B^{-1} = 0.
 
 Both phases satisfy one unified identity through the map argument
 zeta:  w G = zeta G_B(zeta) = 1 + m^2 (a^2 + b^2).  ``unified_check``
@@ -58,6 +61,7 @@ PATH_STEPS = 128
 START_RADIUS_FACTOR = 100.0
 NEWTON_TOL = 1e-10
 NEWTON_RESTARTS = 4
+TINY_IM = 1e-150
 TRACELESS_TOL = 1e-14
 FLAT_QUAD_NODES = 64
 
@@ -327,6 +331,7 @@ def solve_nonholomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0):
 
     tr = metric_mod.summary(metric).tr_b_over_n
     s0 = np.full(n, 1.0 / (2.0 * m * m))
+    y[np.abs(y) < TINY_IM] = 0.0   # beta0 ~ 1/y would overflow once squared
     with np.errstate(divide="ignore", invalid="ignore"):
         b_guess = np.where(y != 0.0, tr / (2.0 * m * m * np.where(y != 0.0, y, 1.0)), 0.0)
     s_guess = 1.0 / (m * m) - x * x - y * y - b_guess * b_guess

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import metric as metric_mod
 from ..metric import Metric
@@ -34,13 +34,14 @@ class RunConfig:
     grid_extent: float | None = None     # half-width, default 1.2/m
     lambdas: tuple = ()                  # real_fraction_sweep points
     out_dir: str = "out"
-    threads: int = 1
+    threads: int | None = None           # sampling worker processes, None = all cores
     dump_samples: bool = False
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}")
-        if self.n < 2 or self.samples < 1 or not self.m > 0 or self.threads < 1:
+        if (self.n < 2 or self.samples < 1 or not self.m > 0
+                or (self.threads is not None and self.threads < 1)):
             raise ValueError("n >= 2, samples >= 1, m > 0, threads >= 1 required")
         if self.experiment == "real_fraction_sweep" and not self.lambdas:
             raise ValueError("real_fraction_sweep needs a nonempty 'lambdas' list")
@@ -72,9 +73,11 @@ class RunConfig:
         return d
 
     def content_hash(self) -> str:
-        """Git-style sha1 of the canonical JSON form."""
-        blob = json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":")).encode()
+        """Git-style sha1 of the canonical JSON form, without the keys that
+        cannot change results (``threads``, ``out_dir``)."""
+        d = self.to_dict()
+        del d["threads"], d["out_dir"]
+        blob = json.dumps(d, sort_keys=True, separators=(",", ":")).encode()
         return hashlib.sha1(b"blob %d\0" % len(blob) + blob).hexdigest()
 
 
@@ -95,7 +98,7 @@ def from_dict(d: dict, **overrides) -> RunConfig:
         grid_extent=float(d["grid_extent"]) if "grid_extent" in d else None,
         lambdas=tuple(d.get("lambdas", ())),
         out_dir=str(d.get("out_dir", "out")),
-        threads=int(d.get("threads", 1)),
+        threads=None if d.get("threads") is None else int(d["threads"]),
         dump_samples=bool(d.get("dump_samples", False)),
     )
 

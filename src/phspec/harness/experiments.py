@@ -18,14 +18,30 @@ from .. import theory
 from ..metric import Signature
 from . import io
 from .config import RunConfig
-from .report import ComparisonReport, Stopwatch
-from .sampling import map_spectra
+from .report import ComparisonReport, Stopwatch, provenance
+from .sampling import map_spectra, num_workers
 from .thresholds import THRESHOLDS
 
 
 def _new_report(cfg: RunConfig) -> ComparisonReport:
+    """Empty report; its provenance says the run stays in this process."""
     return ComparisonReport(experiment=cfg.experiment, config=cfg.to_dict(),
-                            config_hash=cfg.content_hash())
+                            config_hash=cfg.content_hash(),
+                            provenance=provenance(1, _blas.num_threads()))
+
+
+def _spectra(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch, metric=None):
+    """``map_spectra`` over cfg's ensemble, with ``metric`` in place of cfg's
+    if given.  Adds the skipped eigensolves to the report, records the
+    workers in its provenance and closes the ``sampling`` lap."""
+    samples, skipped = map_spectra(cfg.metric if metric is None else metric, cfg.n,
+                                   cfg.m, cfg.seed, cfg.samples, cfg.threads)
+    rep.skip_counts["eigensolve"] = rep.skip_counts.get("eigensolve", 0) + skipped
+    # every eigensolve runs on one BLAS thread where the count can be set
+    blas_threads = None if _blas.num_threads() is None else 1
+    rep.provenance = provenance(num_workers(cfg.threads, cfg.samples), blas_threads)
+    sw.lap("sampling")
+    return samples, skipped
 
 
 def _require_signature(cfg: RunConfig) -> float:
@@ -61,9 +77,7 @@ def run_real_density(cfg: RunConfig) -> ComparisonReport:
     lam = _require_signature(cfg)
     rep = _new_report(cfg)
     with Stopwatch() as sw:
-        samples, skipped = map_spectra(cfg.metric, cfg.n, cfg.m, cfg.seed,
-                                       cfg.samples, cfg.threads)
-        rep.skip_counts["eigensolve"] = skipped
+        samples, _ = _spectra(cfg, rep, sw)
         reals = np.concatenate([s.real_eigs for s in samples])
         frac_mean, frac_err = spectral.real_fraction(samples)
         rep.metrics["real_fraction_mean"] = frac_mean
@@ -88,6 +102,8 @@ def run_real_density(cfg: RunConfig) -> ComparisonReport:
         xs = np.linspace(span[0], span[1], 801)
         io.write_theory_curve_csv(_out(cfg, "real_density_theory.csv"),
                                   xs, theory.rho_real(xs, lam, cfg.m))
+        sw.lap("reduce")
+    rep.timings = sw.laps
     rep.runtime_seconds = sw.seconds
     rep.write(_out(cfg, "report.json"))
     return rep
@@ -109,9 +125,7 @@ def run_fraction_sweep(cfg: RunConfig) -> ComparisonReport:
         for lam_req in cfg.lambdas:
             k = round(lam_req * cfg.n)
             lam = k / cfg.n
-            metric = Signature(k=k, n=cfg.n)
-            samples, skipped = map_spectra(metric, cfg.n, cfg.m, cfg.seed,
-                                           cfg.samples, cfg.threads)
+            samples, skipped = _spectra(cfg, rep, sw, Signature(k=k, n=cfg.n))
             mean, err = spectral.real_fraction(samples)
             th = abs(1.0 - 2.0 * lam)
             rows.append((lam, mean, err, th))
@@ -130,7 +144,10 @@ def run_fraction_sweep(cfg: RunConfig) -> ComparisonReport:
                 # near lam = 1/2 the theory is only a lower bound at finite n
                 rep.add_check(f"fraction_above_theory[{tag}]",
                               mean >= th - 3.0 * err, mean - th)
-    io.write_fraction_csv(_out(cfg, "fraction_sweep.csv"), rows)
+            sw.lap("reduce")
+        io.write_fraction_csv(_out(cfg, "fraction_sweep.csv"), rows)
+        sw.lap("reduce")
+    rep.timings = sw.laps
     rep.runtime_seconds = sw.seconds
     rep.write(_out(cfg, "report.json"))
     return rep
@@ -152,9 +169,7 @@ def run_complex_scatter(cfg: RunConfig) -> ComparisonReport:
         raise ValueError("complex_scatter needs an indefinite signature (0 < lam < 1)")
     rep = _new_report(cfg)
     with Stopwatch() as sw:
-        samples, skipped = map_spectra(cfg.metric, cfg.n, cfg.m, cfg.seed,
-                                       cfg.samples, cfg.threads)
-        rep.skip_counts["eigensolve"] = skipped
+        samples, _ = _spectra(cfg, rep, sw)
         eigs = np.concatenate([s.eigs for s in samples])
         is_real = np.concatenate([np.abs(s.eigs.imag) <= s.tol_used for s in samples])
         io.write_scatter_csv(_out(cfg, "scatter.csv"), eigs.real, eigs.imag, is_real)
@@ -180,6 +195,8 @@ def run_complex_scatter(cfg: RunConfig) -> ComparisonReport:
         radii = [theory.boundary_radii(t, lam, cfg.m) for t in th]
         io.write_boundary_csv(_out(cfg, "boundary_theory.csv"), th,
                               [r[0] for r in radii], [r[1] for r in radii])
+        sw.lap("reduce")
+    rep.timings = sw.laps
     rep.runtime_seconds = sw.seconds
     rep.write(_out(cfg, "report.json"))
     return rep
@@ -196,9 +213,7 @@ def run_uniformity(cfg: RunConfig) -> ComparisonReport:
         raise ValueError("uniformity needs an indefinite signature")
     rep = _new_report(cfg)
     with Stopwatch() as sw:
-        samples, skipped = map_spectra(cfg.metric, cfg.n, cfg.m, cfg.seed,
-                                       cfg.samples, cfg.threads)
-        rep.skip_counts["eigensolve"] = skipped
+        samples, _ = _spectra(cfg, rep, sw)
         total_eigs = sum(s.n for s in samples)
         pairs = np.concatenate([s.pair_eigs for s in samples])
         both = np.concatenate([pairs, np.conj(pairs)])
@@ -251,6 +266,8 @@ def run_uniformity(cfg: RunConfig) -> ComparisonReport:
         rep.add_check("uniformity_max_rel_dev",
                       worst <= THRESHOLDS["uniformity_max_rel_dev"], worst)
         io.write_hist2d_csv(_out(cfg, "pair_density.csv"), hist)
+        sw.lap("reduce")
+    rep.timings = sw.laps
     rep.runtime_seconds = sw.seconds
     rep.write(_out(cfg, "report.json"))
     return rep
@@ -351,7 +368,6 @@ def run_gap_grid(cfg: RunConfig) -> ComparisonReport:
 
 def run_verify(cfg: RunConfig) -> ComparisonReport:
     """Exact finite-N identities at small N plus the averaged gap equations."""
-    rep = _new_report(cfg)
     tolerances = {}
 
     def check(name, value, tol):
@@ -360,6 +376,7 @@ def run_verify(cfg: RunConfig) -> ComparisonReport:
 
     # thousands of small dense problems: one BLAS thread keeps them steady
     with _blas.single_thread(), Stopwatch() as sw:
+        rep = _new_report(cfg)
         n_small = 8
         metric_small = Signature(k=2, n=n_small)
         worst = {"gamma": 0.0, "block": 0.0, "trace_pair": 0.0, "half_trace": 0.0,
@@ -455,13 +472,18 @@ def run_semicircle(cfg: RunConfig) -> ComparisonReport:
         metric = cfg.metric if isinstance(cfg.metric, Signature) else Signature(0, cfg.n)
         if metric.lam not in (0.0, 1.0):
             raise ValueError("semicircle experiment needs a definite signature (k=0 or k=n)")
-        samples, skipped = map_spectra(metric, cfg.n, cfg.m, cfg.seed,
-                                       cfg.samples, cfg.threads)
-        rep.skip_counts["eigensolve"] = skipped
+        samples, _ = _spectra(cfg, rep, sw, metric)
         reals = np.concatenate([s.real_eigs for s in samples])
         rep.add_check("all_real", all(len(s.pair_eigs) == 0 for s in samples))
         ks = spectral.ks_distance(reals, lambda x: theory.semicircle_cdf(x, cfg.m))
         rep.add_check("ks_semicircle", ks <= THRESHOLDS["semicircle_ks"], ks)
+        hist = spectral.empirical_density_1d(samples, cfg.bins,
+                                             cfg.hist_range or (-2.2 / cfg.m, 2.2 / cfg.m))
+        io.write_hist1d_csv(_out(cfg, "semicircle_hist.csv"), hist)
+        xs = np.linspace(-2.2 / cfg.m, 2.2 / cfg.m, 801)
+        io.write_theory_curve_csv(_out(cfg, "semicircle_theory.csv"),
+                                  xs, theory.semicircle_density(xs, cfg.m))
+        sw.lap("reduce")
 
         # identity metric through the generic solver vs the closed form,
         # on a 50-point segment kept clear of the eigenvalue band
@@ -472,12 +494,8 @@ def run_semicircle(cfg: RunConfig) -> ComparisonReport:
         worst = float(np.max(np.abs(g - theory.gue_green(ww, cfg.m))))
         rep.add_check("identity_metric_pointwise",
                       (not collided.any()) and worst <= THRESHOLDS["gue_pointwise"], worst)
-        hist = spectral.empirical_density_1d(samples, cfg.bins,
-                                             cfg.hist_range or (-2.2 / cfg.m, 2.2 / cfg.m))
-        io.write_hist1d_csv(_out(cfg, "semicircle_hist.csv"), hist)
-        xs = np.linspace(-2.2 / cfg.m, 2.2 / cfg.m, 801)
-        io.write_theory_curve_csv(_out(cfg, "semicircle_theory.csv"),
-                                  xs, theory.semicircle_density(xs, cfg.m))
+        sw.lap("identity_metric")
+    rep.timings = sw.laps
     rep.runtime_seconds = sw.seconds
     rep.write(_out(cfg, "report.json"))
     return rep

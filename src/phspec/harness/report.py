@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -16,6 +20,7 @@ class ComparisonReport:
     metrics: dict = field(default_factory=dict)       # name -> number/str
     skip_counts: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)       # section -> seconds
+    provenance: dict = field(default_factory=dict)    # see ``provenance``
     runtime_seconds: float = 0.0
 
     @property
@@ -35,6 +40,7 @@ class ComparisonReport:
             "metrics": _plain(self.metrics),
             "skip_counts": self.skip_counts,
             "timings": self.timings,
+            "provenance": self.provenance,
             "runtime_seconds": self.runtime_seconds,
             "config": self.config,
             "config_hash": self.config_hash,
@@ -44,6 +50,21 @@ class ComparisonReport:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+@functools.cache
+def _environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "cpu_count": os.cpu_count()}
+
+
+def provenance(workers: int, blas_threads: int | None) -> dict:
+    """Where a run's numerics ran: numpy and BLAS builds, the machine's
+    core count, the worker processes used and the BLAS threads of each
+    (None where the BLAS thread count cannot be read)."""
+    return {**_environment(), "workers": workers, "blas_threads": blas_threads}
 
 
 def _plain(obj):
@@ -68,9 +89,9 @@ class Stopwatch:
         return self
 
     def lap(self, name: str):
-        """Record the time since the previous lap (or the start) as ``name``."""
+        """Add the time since the previous lap (or the start) to ``name``."""
         now = time.perf_counter()
-        self.laps[name] = now - self.t_lap
+        self.laps[name] = self.laps.get(name, 0.0) + now - self.t_lap
         self.t_lap = now
 
     def __exit__(self, *exc):

@@ -29,6 +29,7 @@ class SpectrumSample:
     pair_eigs: np.ndarray            # one representative per pair, Im > 0
     tol_used: float
     sample_seed: int = 0
+    sample_index: int = -1
     forced_real: int = 0             # pairs split by noise, reclassified real
 
     @property

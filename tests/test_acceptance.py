@@ -1,8 +1,9 @@
 """Acceptance suite: every exit criterion at its pinned parameters.
 
 Each criterion prints one PASS/FAIL line (run pytest with -s to watch).
-The full module takes ~10-15 minutes on one CPU; the heavy Monte Carlo
-fixtures are shared between criteria that reuse the same runs.
+The full module takes about 6.5 minutes on 2 cores (criterion 4 alone
+about 4); the heavy Monte Carlo fixtures are shared between criteria
+that reuse the same runs.
 """
 
 import numpy as np

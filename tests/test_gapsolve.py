@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +129,16 @@ class TestNonholomorphic:
             assert ok[i] == (sol is not None)
             if sol is not None:
                 assert s[i] == pytest.approx(sol.alpha2, abs=1e-9)
+
+    def test_tiny_imaginary_part_solves_as_on_axis(self):
+        # beta0 ~ 1/Im w overflowed once squared below |Im w| ~ 1e-154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = G.solve_nonholomorphic_batch(
+                SIG_QUARTER, np.array([0.3 + 1e-200j, 0.3 - 1e-200j]), 1.0)
+        axis = G.solve_nonholomorphic_batch(SIG_QUARTER, np.array([0.3, 0.3]), 1.0)
+        for a, b in zip(tiny, axis):
+            assert np.array_equal(a, b, equal_nan=True)
 
     def test_nh_equation_equivalence(self):
         # the metric-transform forms of the two real equations hold at the

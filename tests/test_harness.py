@@ -1,10 +1,12 @@
+import contextlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from phspec import _blas, cli
+from phspec import _blas, cli, spectral
+from phspec import ensemble as E
 from phspec import metric as M
 from phspec.harness import config as C
 from phspec.harness import experiments as X
@@ -23,6 +25,22 @@ def make_cfg(tmp_path, **kw):
     return C.from_dict(base)
 
 
+@contextlib.contextmanager
+def parent_blas_threads(count):
+    """Run the block with this process's OpenBLAS on ``count`` threads."""
+    controls = _blas._thread_controls()
+    if controls is None:
+        yield
+        return
+    get, put = controls
+    before = get()
+    put(count)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 class TestConfig:
     def test_roundtrip_and_hash_stability(self, tmp_path):
         cfg = make_cfg(tmp_path)
@@ -30,6 +48,12 @@ class TestConfig:
         assert again.to_dict() == cfg.to_dict()
         assert again.content_hash() == cfg.content_hash()
         assert cfg.content_hash() != make_cfg(tmp_path, seed=12).content_hash()
+
+    def test_hash_ignores_threads_and_out_dir(self, tmp_path):
+        cfg = make_cfg(tmp_path)
+        other = make_cfg(tmp_path, threads=3, out_dir=str(tmp_path / "elsewhere"))
+        assert other.content_hash() == cfg.content_hash()
+        assert other.to_dict()["threads"] == 3 and cfg.to_dict()["threads"] is None
 
     def test_load_with_overrides(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -52,13 +76,29 @@ class TestConfig:
 
 class TestSampling:
     def test_threads_reduction_identical(self, tmp_path):
-        met = M.Signature(k=8, n=32)
-        s1, k1 = map_spectra(met, 32, 1.0, 5, 8, threads=1)
-        s2, k2 = map_spectra(met, 32, 1.0, 5, 8, threads=2)
-        assert k1 == k2 == 0
-        for a, b in zip(s1, s2):
-            assert np.array_equal(a.eigs, b.eigs)
-            assert np.array_equal(a.real_eigs, b.real_eigs)
+        # from n ~ 128 on, eigenvalue bits depend on the BLAS thread count;
+        # every eigensolve runs on one thread, whatever the parent's count
+        for n, k, num in ((32, 8, 8), (256, 64, 4)):
+            met = M.Signature(k=k, n=n)
+            cfg = E.EnsembleConfig(n=n, m=1.0, metric=met, master_seed=5, num_samples=num)
+            with _blas.single_thread():
+                ref = [spectral.eigenvalues(E.draw_sample(cfg, i).phi) for i in range(num)]
+            with parent_blas_threads(2):
+                runs = [map_spectra(met, n, 1.0, 5, num, threads=t) for t in (1, 2, None)]
+            for samples, skipped in runs:
+                assert skipped == 0
+                for i, s in enumerate(samples):
+                    assert s.sample_index == i
+                    assert np.array_equal(s.eigs, ref[i])
+                    assert np.array_equal(s.real_eigs, runs[0][0][i].real_eigs)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_parent_blas_threads_restored(self, threads):
+        if _blas.num_threads() is None:
+            pytest.skip("numpy is not linked to a bundled OpenBLAS")
+        with parent_blas_threads(2):
+            map_spectra(M.Signature(k=8, n=32), 32, 1.0, 5, 4, threads=threads)
+            assert _blas.num_threads() == 2
 
 
 class TestCsv:
@@ -139,6 +179,27 @@ class TestExperiments:
         assert lines[0] == "re,im,is_real"
         assert len(lines) == 64 * 10 + 1
 
+    @pytest.mark.parametrize("experiment,extra", [
+        ("real_density", {}),
+        ("real_fraction_sweep", {"lambdas": [0.25, 0.375]}),
+        ("complex_scatter", {"samples": 4}),
+        ("uniformity", {"n": 128, "metric": {"type": "signature", "k": 48, "n": 128},
+                        "samples": 20}),
+        ("semicircle", {"metric": {"type": "signature", "k": 0, "n": 32}}),
+    ])
+    def test_sampling_timings_and_provenance(self, tmp_path, experiment, extra):
+        cfg = make_cfg(tmp_path, experiment=experiment, threads=2, **extra)
+        rep = X.run(cfg)
+        data = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert {"sampling", "reduce"} <= set(data["timings"])
+        total = sum(data["timings"].values())
+        assert abs(total - rep.runtime_seconds) <= 0.05 * rep.runtime_seconds
+        prov = data["provenance"]
+        assert prov["workers"] == 2 and prov["cpu_count"] == os.cpu_count()
+        assert prov["numpy"] == np.__version__
+        assert prov["blas_threads"] == (None if _blas.num_threads() is None else 1)
+        assert set(prov) == {"numpy", "blas", "cpu_count", "workers", "blas_threads"}
+
     def test_verify_records_tolerances_and_timings(self, tmp_path):
         cfg = make_cfg(tmp_path, experiment="verify", samples=4)
         rep = X.run_verify(cfg)
@@ -178,6 +239,19 @@ class TestCli:
         out = tmp_path / "out"
         assert (out / "eigenvalues.csv").exists()
         assert (out / "phi_000000.bin").exists()
+
+    def test_sample_matches_map_spectra(self, tmp_path):
+        # n = 128: large enough for the bits to depend on BLAS threads
+        met = {"type": "signature", "k": 32, "n": 128}
+        p = self._write_cfg(tmp_path, samples=3, n=128, metric=met)
+        with parent_blas_threads(2):
+            assert cli.main(["sample", "--config", str(p), "--threads", "2"]) == 0
+            samples, _ = map_spectra(M.from_config(met), 128, 1.0, 11, 3, threads=1)
+        lines = (tmp_path / "out" / "eigenvalues.csv").read_text().splitlines()
+        assert lines[0] == "sample,re,im"
+        rows = [line.split(",") for line in lines[1:]]
+        expected = [(str(s.sample_index), v.real, v.imag) for s in samples for v in s.eigs]
+        assert [(i, float(re), float(im)) for i, re, im in rows] == expected
 
     def test_theory_command(self, tmp_path, capsys):
         p = self._write_cfg(tmp_path)
