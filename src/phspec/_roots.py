@@ -1,156 +1,115 @@
-"""Batched polynomial roots and branch tracking along continuation paths.
+"""Certified continuation of one root of the pole-sum gap equation.
 
-The gap equations define b(w) implicitly as one root of a w-dependent
-polynomial.  The physical branch is selected by continuity along a path
-from the large-|w| asymptote, which requires following one root through
-regions where branches approach each other.  The tracker accepts a
-nearest-root step only when the move is unambiguous (the root moved by
-less than half its distance to the nearest other root); otherwise the
-step is bisected adaptively.  A step that cannot be disambiguated down
-to the smallest subdivision is a genuine branch-point encounter and is
-reported, never guessed.
+The holomorphic gap equation of every metric has the form
+
+    f(b; w) = m^2 b + sum_j c_j / (b + w/mu_j) = 0,
+
+with (mu_j, c_j) the atoms of the metric and their weights, or the
+quadrature nodes of a continuum density.  Its physical root is selected
+by continuity along a path of waypoints from the large-|w| asymptote.
+
+``track`` walks every point along its own waypoints in lockstep.  A step
+is an Euler predictor followed by three Newton corrections, accepted
+only when Smale's alpha theory certifies it (Blum, Cucker, Shub and
+Smale, Complexity and Real Computation, 1998, ch. 8; Beltran and Leykin,
+Exp. Math. 2012).  With C = sum_j |c_j| and delta = min_j |b + w/mu_j|
+every higher derivative of f is bounded in closed form, which gives
+
+    gamma <= max(C / (|f'| delta^3), 1/delta),    beta = |f / f'|.
+
+A step is accepted when the predictor is an approximate zero, alpha =
+beta gamma < ALPHA_MAX, and when the root it converges to lies inside
+the uniqueness ball of the previous root, |db| + 2 beta < u0 / (2
+gamma_prev).  The step doubles after a success, up to MAX_STEP
+waypoints, and halves after a failure.  A point whose step falls below
+MIN_STEP of a segment is at a branch point, or too close to one to tell
+the branches apart, and is reported as collided, never guessed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-COLLISION_TOL = 1e-12
-MAX_REFINE_EVALS = 4000
-
-_OMEGA = np.exp(2j * np.pi / 3.0)
-
-
-class BranchPointProximity(RuntimeError):
-    """Two branches could not be told apart along the continuation path."""
+ALPHA_MAX = 0.1
+U0 = (5.0 - np.sqrt(17.0)) / 4.0   # uniqueness-radius constant
+MAX_STEP = 16.0                    # waypoints
+MIN_STEP = 2.0**-40                # of a segment
+NEWTON_STEPS = 3
 
 
-def depressed_cubic_roots(p, q):
-    """Roots of t^3 + p t + q = 0, vectorized; shape (..., 3)."""
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    s = np.sqrt(q * q + 4.0 * p**3 / 27.0)
-    c3 = (-q + s) / 2.0
-    alt = (-q - s) / 2.0
-    c3 = np.where(np.abs(c3) >= np.abs(alt), c3, alt)
-    c = c3 ** (1.0 / 3.0)
-    roots = np.empty(np.shape(p) + (3,), dtype=complex)
-    for k in range(3):
-        ck = c * _OMEGA**k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots[..., k] = np.where(ck != 0, ck - p / (3.0 * ck), 0.0)
-    return roots
-
-
-def roots_batch(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of a batch of polynomials; coeffs (n, deg+1), highest power first.
-
-    Degrees 1-3 use closed forms (vectorized); higher degrees fall back
-    to companion-matrix eigenvalues.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    n, width = coeffs.shape
-    deg = width - 1
-    monic = coeffs / coeffs[:, :1]
-    if deg == 1:
-        return -monic[:, 1:2]
-    if deg == 2:
-        b, c = monic[:, 1], monic[:, 2]
-        disc = np.sqrt(b * b - 4.0 * c)
-        return np.stack([(-b + disc) / 2.0, (-b - disc) / 2.0], axis=-1)
-    if deg == 3:
-        a2, a1, a0 = monic[:, 1], monic[:, 2], monic[:, 3]
-        shift = a2 / 3.0
-        p = a1 - a2 * a2 / 3.0
-        q = 2.0 * a2**3 / 27.0 - a2 * a1 / 3.0 + a0
-        return depressed_cubic_roots(p, q) - shift[:, None]
-    comp = np.zeros((n, deg, deg), dtype=complex)
-    comp[:, 1:, :-1] = np.eye(deg - 1)
-    comp[:, 0, :] = -monic[:, 1:]
-    return np.linalg.eigvals(comp)
-
-
-def _nearest_and_gap(roots_row: np.ndarray, b_prev: complex):
-    dist = np.abs(roots_row - b_prev)
-    order = np.argsort(dist)
-    nearest = roots_row[order[0]]
-    if len(roots_row) == 1:
-        return nearest, np.inf, dist[order[0]]
-    gap = float(np.min(np.abs(np.delete(roots_row, order[0]) - nearest)))
-    return nearest, gap, float(dist[order[0]])
-
-
-def _refine_step(coeff_fn, wa: complex, ba: complex, wb: complex,
-                 max_evals: int = MAX_REFINE_EVALS) -> complex:
-    """Walk from (wa, ba) to wb, bisecting the segment adaptively."""
-    w_cur, b_cur = wa, ba
-    stack = [wb]
-    evals = 0
-    seg = abs(wb - wa)
-    while stack:
-        tgt = stack[-1]
-        evals += 1
-        if evals > max_evals:
-            raise BranchPointProximity(
-                f"cannot disambiguate branches between w={wa} and w={wb}"
-            )
-        roots_row = roots_batch(coeff_fn(np.array([tgt])))[0]
-        nearest, gap, move = _nearest_and_gap(roots_row, b_cur)
-        if gap < COLLISION_TOL * (1.0 + abs(nearest)):
-            raise BranchPointProximity(f"branch collision near w={tgt}")
-        if move < 0.5 * gap:
-            w_cur, b_cur = tgt, nearest
-            stack.pop()
-            continue
-        mid = (w_cur + tgt) / 2.0
-        if abs(tgt - w_cur) < 1e-14 * (seg + abs(tgt)):
-            raise BranchPointProximity(f"branch collision near w={tgt}")
-        stack.append(mid)
-    return b_cur
-
-
-def track(coeff_fn, path: np.ndarray, b_start: np.ndarray):
-    """Follow one root of coeff_fn(w) along per-point paths.
+def track(mu, c, m: float, paths: np.ndarray, b0: np.ndarray):
+    """Follow one root of f(b; w) along per-point waypoints.
 
     Parameters
     ----------
-    coeff_fn : callable
-        Maps an array of points w (shape (n,)) to polynomial
-        coefficients (shape (n, deg+1), highest power first).
-    path : ndarray, shape (L, n)
-        Waypoints per tracked point, starting where ``b_start`` holds.
-    b_start : ndarray, shape (n,)
-        Root values at ``path[0]``.
+    mu, c : array_like, shape (d,)
+        Pole positions -w/mu_j and weights of the pole sum.
+    m : float
+        Coupling of the linear term m^2 b.
+    paths : ndarray, shape (L, n)
+        Waypoints per tracked point; the walk ends at ``paths[-1]``.
+    b0 : ndarray, shape (n,)
+        Approximate roots at ``paths[0]``, corrected by Newton first.
 
     Returns
     -------
     b : ndarray, shape (n,)
-        Tracked root at ``path[-1]``.
-    failed : ndarray of bool, shape (n,)
-        Points where branch-point proximity could not be resolved.
+        Tracked root at ``paths[-1]``, after three more Newton
+        corrections there; meaningless where ``collided``.
+    collided : ndarray of bool, shape (n,)
+        Points whose step fell below MIN_STEP of a segment.
     """
-    path = np.asarray(path, dtype=complex)
-    b = np.asarray(b_start, dtype=complex).copy()
-    n = path.shape[1]
-    failed = np.zeros(n, dtype=bool)
-    for j in range(1, path.shape[0]):
-        roots = roots_batch(coeff_fn(path[j]))
-        dist = np.abs(roots - b[:, None])
-        order = np.argsort(dist, axis=-1)
-        nearest = np.take_along_axis(roots, order[:, :1], axis=-1)[:, 0]
-        move = np.take_along_axis(dist, order[:, :1], axis=-1)[:, 0]
-        if roots.shape[1] > 1:
-            second = np.take_along_axis(roots, order[:, 1:2], axis=-1)[:, 0]
-            gap = np.abs(second - nearest)
-        else:
-            gap = np.full(n, np.inf)
-        ambiguous = ~(move < 0.5 * gap) & ~failed
-        for i in np.flatnonzero(ambiguous):
-            try:
-                nearest[i] = _refine_step(
-                    coeff_fn, complex(path[j - 1, i]), complex(b[i]), complex(path[j, i])
-                )
-            except BranchPointProximity:
-                failed[i] = True
-        b = np.where(failed, b, nearest)
-    return b, failed
+    mu = np.asarray(mu, dtype=float)
+    c = np.asarray(c, dtype=float)
+    paths = np.asarray(paths, dtype=complex)
+    last = paths.shape[0] - 1
+    n = paths.shape[1]
+    c_abs = np.abs(c).sum()
+    m2 = m * m
+
+    def terms(w, b):
+        q = 1.0 / (b[:, None] + w[:, None] / mu)
+        return q, m2 * b + q @ c, m2 - (q * q) @ c
+
+    def gamma(q, fb):
+        delta = 1.0 / np.max(np.abs(q), axis=1)
+        return np.maximum(c_abs / (np.abs(fb) * delta**3), 1.0 / delta)
+
+    def newton(w, b):
+        for _ in range(NEWTON_STEPS):
+            _, f, fb = terms(w, b)
+            b = b - f / fb
+        return b
+
+    def waypoint(t, idx):
+        j = np.minimum(t.astype(int), last - 1)
+        return paths[j, idx] + (t - j) * (paths[j + 1, idx] - paths[j, idx])
+
+    t = np.zeros(n)
+    h = np.ones(n)
+    collided = np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        b = newton(paths[0], np.asarray(b0, dtype=complex))
+        while True:
+            idx = np.flatnonzero((t < last) & ~collided)
+            if len(idx) == 0:
+                break
+            w_cur, b_cur = waypoint(t[idx], idx), b[idx]
+            q, _, fb = terms(w_cur, b_cur)
+            slope = ((q * q) @ (c / mu)) / fb          # db/dw = -f_w / f_b
+            t_new = np.minimum(t[idx] + h[idx], last)
+            w_new = waypoint(t_new, idx)
+            b_pred = b_cur + slope * (w_new - w_cur)
+            qp, fp, fbp = terms(w_new, b_pred)
+            beta = np.abs(fp / fbp)
+            ok = ((beta * gamma(qp, fbp) < ALPHA_MAX)
+                  & (np.abs(b_pred - b_cur) + 2.0 * beta < 0.5 * U0 / gamma(q, fb)))
+            acc, rej = idx[ok], idx[~ok]
+            b[acc] = newton(w_new[ok], b_pred[ok])
+            t[acc] = t_new[ok]
+            h[acc] = np.minimum(2.0 * h[acc], MAX_STEP)
+            h[rej] /= 2.0
+            collided[rej[h[rej] < MIN_STEP]] = True
+        # a step accepted at alpha < 0.1 leaves b about 1e-8/gamma off the root
+        b = newton(paths[-1], b)
+    return b, collided

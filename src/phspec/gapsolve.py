@@ -12,11 +12,12 @@ Outside D the self-consistency collapses to a single equation for b,
 
     m^2 b + (1/N) tr 1/(b + w B^{-1}) = 0,
 
-an algebraic equation of degree d+1 for a metric with d distinct
-eigenvalues (transcendental for continuum metrics).  The physical
-branch is fixed by continuation from the large-|w| asymptote
-b ~ -(tr B / N)/(m^2 w); if tr B = 0, the branch on the component of
-the holomorphic region containing infinity is b = 0 identically.
+a sum of weighted poles in b: one per distinct eigenvalue of an atomic
+metric, one per Gauss node of a continuum density.  The physical
+branch is fixed by certified continuation (``_roots.track``) from the
+large-|w| asymptote b ~ -(tr B / N)/(m^2 w) along waypoints that end at
+w; if tr B = 0, the branch on the component of the holomorphic region
+containing infinity is b = 0 identically.
 
 Inside D the unknowns (alpha^2, beta) solve two real equations,
 
@@ -65,7 +66,9 @@ TINY_IM = 1e-150
 TRACELESS_TOL = 1e-14
 FLAT_QUAD_NODES = 64
 
-BranchPointProximity = _roots.BranchPointProximity
+
+class BranchPointProximity(RuntimeError):
+    """Two branches could not be told apart along the continuation path."""
 
 
 class GapSolveError(RuntimeError):
@@ -92,175 +95,7 @@ class GapSolution:
 
 
 # ---------------------------------------------------------------------------
-# holomorphic-phase polynomial
-# ---------------------------------------------------------------------------
-
-def _prod_coeffs(shifts: np.ndarray) -> np.ndarray:
-    """Coefficients of prod_j (b + shifts[:, j]), highest power first."""
-    npts = shifts.shape[0]
-    coeffs = np.ones((npts, 1), dtype=complex)
-    for j in range(shifts.shape[1]):
-        nxt = np.zeros((npts, coeffs.shape[1] + 1), dtype=complex)
-        nxt[:, :-1] = coeffs
-        nxt[:, 1:] += shifts[:, j : j + 1] * coeffs
-        coeffs = nxt
-    return coeffs
-
-
-def _holomorphic_poly(metric: Metric, w: np.ndarray, m: float) -> np.ndarray:
-    """Cleared-denominator form of the holomorphic gap equation, per point."""
-    vals, wts = metric_mod.atoms(metric)
-    d = len(vals)
-    shifts = w[:, None] / vals[None, :]
-    poly = np.zeros((len(w), d + 2), dtype=complex)
-    poly[:, :-1] += m * m * _prod_coeffs(shifts)           # m^2 b * prod_j
-    for j in range(d):
-        others = np.delete(shifts, j, axis=1)
-        poly[:, 2:] += wts[j] * _prod_coeffs(others)       # degree d-1 terms
-    return poly
-
-
-# ---------------------------------------------------------------------------
-# holomorphic phase
-# ---------------------------------------------------------------------------
-
-def _default_paths(w: np.ndarray, metric: Metric, m: float, steps: int) -> np.ndarray:
-    """Geometric rays from far outside the spectrum down to each target."""
-    start = START_RADIUS_FACTOR * max(
-        2.0 * metric_mod.support_radius(metric) / m, float(np.max(np.abs(w)))
-    )
-    t = np.linspace(0.0, 1.0, steps + 1)[:, None]
-    r = np.maximum(np.abs(w), 1e-12 * start)   # keep w = 0 off the division
-    return (r[None, :] * (start / r)[None, :] ** (1.0 - t)) * np.exp(1j * np.angle(w))[None, :]
-
-
-def _bh_residual(metric: Metric, w, b, m: float):
-    """Residual of m^2 b + (1/N) tr 1/(b + w B^{-1})."""
-    if metric_mod.is_atomic(metric):
-        vals, wts = metric_mod.atoms(metric)
-        tr = (wts[None, :] / (np.asarray(b)[..., None] + np.asarray(w)[..., None] / vals[None, :])).sum(axis=-1)
-    else:
-        mu, qw = _flat_nodes(metric)
-        tr = (qw[None, :] * mu[None, :] / (mu[None, :] * np.asarray(b)[..., None] + np.asarray(w)[..., None])).sum(axis=-1)
-    return m * m * np.asarray(b) + tr
-
-
-def _bh_residual_deriv(metric: Metric, w, b, m: float):
-    if metric_mod.is_atomic(metric):
-        vals, wts = metric_mod.atoms(metric)
-        dtr = -(wts[None, :] / (np.asarray(b)[..., None] + np.asarray(w)[..., None] / vals[None, :]) ** 2).sum(axis=-1)
-    else:
-        mu, qw = _flat_nodes(metric)
-        dtr = -(qw[None, :] * mu[None, :] ** 2 / (mu[None, :] * np.asarray(b)[..., None] + np.asarray(w)[..., None]) ** 2).sum(axis=-1)
-    return m * m + dtr
-
-
-def _holomorphic_green(metric: Metric, w, b, m: float):
-    """G = (1/N) tr 1/(b B + w) for the selected branch."""
-    b = np.asarray(b)
-    w = np.asarray(w)
-    if metric_mod.is_atomic(metric):
-        vals, wts = metric_mod.atoms(metric)
-        return (wts[None, :] / (b[..., None] * vals[None, :] + w[..., None])).sum(axis=-1)
-    mu, qw = _flat_nodes(metric)
-    return (qw[None, :] / (b[..., None] * mu[None, :] + w[..., None])).sum(axis=-1)
-
-
-def solve_holomorphic_batch(
-    metric: Metric,
-    w: np.ndarray,
-    m: float = 1.0,
-    paths: np.ndarray | None = None,
-    steps: int = PATH_STEPS,
-    polish: int = 3,
-):
-    """Branch-tracked holomorphic solutions over a batch of points.
-
-    ``paths`` overrides the default straight-ray continuation with
-    explicit waypoints (shape (L, len(w))); callers that know the
-    geometry of the non-holomorphic region use this to route around it,
-    since continuation through it can end on a wrong sheet.
-
-    Returns (b, green, residual, collided) arrays; ``collided`` flags
-    points whose track passed within COLLISION_TOL of another branch
-    (branch-point proximity -- those values are not trustworthy).
-    """
-    w = np.asarray(w, dtype=complex).ravel()
-    summ = metric_mod.summary(metric)
-    if abs(summ.tr_b_over_n) <= TRACELESS_TOL:
-        b = np.zeros_like(w)
-        green = _holomorphic_green(metric, w, b, m)
-        res = np.abs(_bh_residual(metric, w, b, m)) * 0.0  # b = 0 is exact
-        return b, green, res, np.zeros(len(w), dtype=bool)
-
-    if paths is None:
-        paths = _default_paths(w, metric, m, steps)
-    if not metric_mod.is_atomic(metric):
-        return _solve_holomorphic_flat(metric, w, m, paths, polish)
-
-    coeff_fn = lambda ws: _holomorphic_poly(metric, np.asarray(ws, complex), m)
-    asym = -summ.tr_b_over_n / (m * m * paths[0])
-    roots = _roots.roots_batch(coeff_fn(paths[0]))
-    b0 = np.take_along_axis(
-        roots, np.argmin(np.abs(roots - asym[:, None]), axis=-1)[:, None], axis=-1
-    )[:, 0]
-    b, collided = _roots.track(coeff_fn, paths, b0)
-    for _ in range(polish):
-        b = b - _bh_residual(metric, w, b, m) / _bh_residual_deriv(metric, w, b, m)
-    green = _holomorphic_green(metric, w, b, m)
-    res = np.abs(_bh_residual(metric, w, b, m))
-    return b, green, res, collided
-
-
-def _solve_holomorphic_flat(metric, w, m, paths, polish):
-    """Warm-started Newton homotopy for the transcendental continuum case."""
-    b = -metric_mod.summary(metric).tr_b_over_n / (m * m * paths[0])
-    for j in range(paths.shape[0]):
-        wj = paths[j]
-        for _ in range(30):
-            f = _bh_residual(metric, wj, b, m)
-            step = f / _bh_residual_deriv(metric, wj, b, m)
-            b = b - step
-            if np.all(np.abs(step) < 1e-14 * (1.0 + np.abs(b))):
-                break
-    for _ in range(polish):
-        b = b - _bh_residual(metric, w, b, m) / _bh_residual_deriv(metric, w, b, m)
-    green = _holomorphic_green(metric, w, b, m)
-    res = np.abs(_bh_residual(metric, w, b, m))
-    return b, green, res, np.zeros(len(w), dtype=bool)
-
-
-def solve_holomorphic(
-    metric: Metric,
-    w: complex,
-    m: float = 1.0,
-    paths: np.ndarray | None = None,
-    steps: int = PATH_STEPS,
-) -> GapSolution:
-    """Holomorphic-phase solution at a single point.
-
-    Raises BranchPointProximity when the continuation track cannot
-    distinguish two branches (e.g. for w exactly on the real-eigenvalue
-    band, where the physical b has a jump; evaluate side limits with an
-    explicit +-i eps instead).
-    """
-    wa = np.array([w], dtype=complex)
-    b, green, res, collided = solve_holomorphic_batch(metric, wa, m, paths=paths, steps=steps)
-    if collided[0]:
-        raise BranchPointProximity(f"branch collision on the continuation path to w={w}")
-    return _package_holomorphic(metric, complex(w), complex(b[0]), complex(green[0]), float(res[0]), m)
-
-
-def _package_holomorphic(metric, w, b, green, residual, m):
-    zeta = complex(np.inf, np.inf) if b == 0 else -w / b
-    return GapSolution(
-        w=w, phase=HOLOMORPHIC, b=b, alpha=0.0, beta=b.imag,
-        zeta=zeta, green=green, residual=residual,
-    )
-
-
-# ---------------------------------------------------------------------------
-# non-holomorphic phase
+# eigenvalue density of B as weighted poles
 # ---------------------------------------------------------------------------
 
 _flat_node_cache: dict = {}
@@ -280,12 +115,91 @@ def _flat_nodes(metric: FlatContinuum):
     return _flat_node_cache[key]
 
 
-def _nh_terms(metric: Metric):
-    """(mu, weight) pairs representing the eigenvalue density of B."""
+def _terms(metric: Metric):
+    """(mu, weight) pairs representing the eigenvalue density of B: the
+    atoms of an atomic metric, the Gauss nodes of a continuum one."""
     if metric_mod.is_atomic(metric):
         return metric_mod.atoms(metric)
     return _flat_nodes(metric)
 
+
+# ---------------------------------------------------------------------------
+# holomorphic phase
+# ---------------------------------------------------------------------------
+
+def _default_paths(w: np.ndarray, metric: Metric, m: float) -> np.ndarray:
+    """Geometric rays from far outside the spectrum, ending exactly at each target."""
+    start = START_RADIUS_FACTOR * max(
+        2.0 * metric_mod.support_radius(metric) / m, float(np.max(np.abs(w)))
+    )
+    t = np.linspace(0.0, 1.0, PATH_STEPS + 1)[:, None]
+    r = np.maximum(np.abs(w), 1e-12 * start)   # keep w = 0 off the division
+    ray = (r[None, :] * (start / r)[None, :] ** (1.0 - t)) * np.exp(1j * np.angle(w))[None, :]
+    return np.concatenate([ray, w[None, :]])
+
+
+def _bh_residual(mu, c, w, b, m: float):
+    """Residual m^2 b + sum_j c_j/(b + w/mu_j) of the holomorphic gap equation."""
+    return m * m * b + (c / (b[:, None] + w[:, None] / mu)).sum(axis=1)
+
+
+def _holomorphic_green(mu, c, w, b):
+    """G = sum_j c_j/(b mu_j + w) = (1/N) tr 1/(b B + w) for the selected branch."""
+    return (c / (b[:, None] * mu + w[:, None])).sum(axis=1)
+
+
+def solve_holomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0,
+                            paths: np.ndarray | None = None):
+    """Branch-tracked holomorphic solutions over a batch of points.
+
+    ``paths`` overrides the default straight-ray continuation with
+    explicit waypoints (shape (L, len(w)), ending at w); callers that
+    know the geometry of the non-holomorphic region use this to route
+    around it, since continuation through it can end on a wrong sheet.
+
+    Returns (b, green, residual, collided) arrays; ``collided`` flags
+    points whose track could not tell two branches apart (branch-point
+    proximity -- those values are not trustworthy).
+    """
+    w = np.asarray(w, dtype=complex).ravel()
+    mu, c = _terms(metric)
+    tr = metric_mod.summary(metric).tr_b_over_n
+    if abs(tr) <= TRACELESS_TOL:
+        b = np.zeros_like(w)   # exact: the branch continuous with infinity
+        return b, _holomorphic_green(mu, c, w, b), np.zeros(len(w)), np.zeros(len(w), dtype=bool)
+    if paths is None:
+        paths = _default_paths(w, metric, m)
+    b, collided = _roots.track(mu, c, m, paths, -tr / (m * m * paths[0]))
+    res = np.abs(_bh_residual(mu, c, w, b, m))
+    return b, _holomorphic_green(mu, c, w, b), res, collided
+
+
+def solve_holomorphic(metric: Metric, w: complex, m: float = 1.0,
+                      paths: np.ndarray | None = None) -> GapSolution:
+    """Holomorphic-phase solution at a single point.
+
+    Raises BranchPointProximity when the continuation track cannot
+    distinguish two branches (e.g. for w exactly on the real-eigenvalue
+    band, where the physical b has a jump; evaluate side limits with an
+    explicit +-i eps instead).
+    """
+    b, green, res, collided = solve_holomorphic_batch(metric, np.array([w]), m, paths=paths)
+    if collided[0]:
+        raise BranchPointProximity(f"branch collision on the continuation path to w={w}")
+    return _package_holomorphic(complex(w), complex(b[0]), complex(green[0]), float(res[0]))
+
+
+def _package_holomorphic(w, b, green, residual):
+    zeta = complex(np.inf, np.inf) if b == 0 else -w / b
+    return GapSolution(
+        w=w, phase=HOLOMORPHIC, b=b, alpha=0.0, beta=b.imag,
+        zeta=zeta, green=green, residual=residual,
+    )
+
+
+# ---------------------------------------------------------------------------
+# non-holomorphic phase
+# ---------------------------------------------------------------------------
 
 def solve_nonholomorphic(metric: Metric, w: complex, m: float = 1.0) -> GapSolution | None:
     """Newton solve for (alpha^2, beta) at a single point: a batch of one.
@@ -312,7 +226,7 @@ def solve_nonholomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0):
     """
     w = np.asarray(w, dtype=complex).ravel()
     x, y = w.real.copy(), w.imag.copy()
-    mu, wt = _nh_terms(metric)
+    mu, wt = _terms(metric)
     n = len(w)
     s = np.full(n, np.nan)
     beta = np.full(n, np.nan)
@@ -414,7 +328,7 @@ def _newton_batch(mu, wt, x, y, s, beta, m, iters=40):
 
 def _package_nonholomorphic(metric, w, s, beta, res, m):
     x, y = float(np.real(w)), float(np.imag(w))
-    mu, wt = _nh_terms(metric)
+    mu, wt = _terms(metric)
     e = x * x + (y + beta * mu) ** 2 + s * mu * mu
     green = complex(np.conj(w) * (wt / e).sum())
     denom = s + beta * beta
@@ -434,10 +348,11 @@ def _package_nonholomorphic(metric, w, s, beta, res, m):
 def classify_phase(metric: Metric, w: complex, m: float = 1.0) -> GapSolution:
     """Classify a single point: ``classify_grid`` of one point.
 
-    A point exactly on a real-axis cut comes back as its upper side
-    limit, noted on the solution.  Raises BranchPointProximity where
-    ``classify_grid`` returns None: the continuation track collided on
-    the first attempt and on the retry.
+    A point on a real-axis cut, or nearer to it than the side-limit
+    offset, comes back as the side limit on its own side, noted on the
+    solution.  Raises BranchPointProximity where ``classify_grid``
+    returns None: the continuation track collided on the first attempt
+    and on the retry.
     """
     sol = classify_grid(metric, [w], m)[0]
     if sol is None:
@@ -450,12 +365,14 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> list[GapS
 
     One ``solve_nonholomorphic_batch`` call settles the non-holomorphic
     points; the others take at most two ``solve_holomorphic_batch``
-    calls.  The first continues exact real-axis points along default
-    rays and every other point along ``paths_fn(w_subset) -> (L,
-    len(w_subset))`` when given: blob-avoiding waypoints from a caller
-    that knows the geometry, e.g. for signature metrics.  One retry then
-    covers every point whose track collided.  A real-axis point is
-    retried just above the cut, and its upper side limit is returned,
+    calls.  The first continues real-axis points along default rays and
+    every other point along ``paths_fn(w_subset) -> (L, len(w_subset))``
+    when given: blob-avoiding waypoints ending at w, from a caller that
+    knows the geometry, e.g. for signature metrics.  A point counts as
+    on the real axis when |Im w| is below the imaginary offset of the
+    side limit.  One retry then covers every point whose track collided.
+    A real-axis point is retried just off the cut on its own side (above
+    for Im w = 0), and that upper or lower side limit is returned,
     marked in ``note``; any other point is retried on default rays.  A
     point that collides again is returned as None.
     """
@@ -468,12 +385,17 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> list[GapS
     if len(rest) == 0:
         return out
     wr = w[rest]
-    on_axis = wr.imag == 0.0
+    # Side-limit offset.  It leans mostly along the real axis so the
+    # continuation ray keeps a tiny angle and stays in the
+    # eigenvalue-free cone around the axis.
+    eps = 1e-9 * max(1.0, 2.0 * metric_mod.support_radius(metric) / m)
+    on_axis = np.abs(wr.imag) < 1e-3 * eps
+    lower = wr.imag < 0.0
     paths = None
     if paths_fn is not None:
         paths = paths_fn(wr)
         if np.any(on_axis):
-            rays = _default_paths(wr[on_axis], metric, m, PATH_STEPS)
+            rays = _default_paths(wr[on_axis], metric, m)
             if len(paths) < len(rays):
                 paths = _hold_start(paths, len(rays))
             paths[:, on_axis] = _hold_start(rays, len(paths))
@@ -481,19 +403,17 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> list[GapS
     wh = wr.copy()              # where each holomorphic solution was evaluated
     redo = np.flatnonzero(collided)
     if len(redo):
-        # Side limit just above the cut.  The offset leans mostly along
-        # the real axis so the continuation ray keeps a tiny angle and
-        # stays in the eigenvalue-free cone around the axis.
-        eps = 1e-9 * max(1.0, 2.0 * metric_mod.support_radius(metric) / m)
-        shift = eps * np.where(wr[redo].real >= 0.0, 1.0, -1.0) + 1j * eps * 1e-3
-        wh[redo] = np.where(on_axis[redo], wr[redo] + shift, wr[redo])
+        limit = (wr.real + eps * np.where(wr.real >= 0.0, 1.0, -1.0)
+                 + 1j * 1e-3 * eps * np.where(lower, -1.0, 1.0))
+        wh[redo] = np.where(on_axis[redo], limit[redo], wr[redo])
         b[redo], green[redo], hres[redo], collided[redo] = solve_holomorphic_batch(
             metric, wh[redo], m)
     for k in np.flatnonzero(~collided):
-        sol = _package_holomorphic(metric, complex(wh[k]), complex(b[k]),
-                                   complex(green[k]), float(hres[k]), m)
+        sol = _package_holomorphic(complex(wh[k]), complex(b[k]), complex(green[k]),
+                                   float(hres[k]))
         if wh[k] != wr[k]:
-            sol.w, sol.note = complex(wr[k]), "real-axis cut: upper side limit"
+            side = "lower" if lower[k] else "upper"
+            sol.w, sol.note = complex(wr[k]), f"real-axis cut: {side} side limit"
         out[rest[k]] = sol
     return out
 

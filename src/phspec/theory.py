@@ -17,12 +17,14 @@ complex eigenvalues it is built from the root b(w) of the cubic
 selected by continuity with the large-|w| branch b ~ (1-2 lam)/(m^2 w),
 and inside the blobs it takes the non-holomorphic value m^2 conj(w).
 
-Root selection is done by numerical continuation along a path that
-stays inside the holomorphic region.  A straight ray from infinity is
-used whenever it avoids the blobs; for points lying between a blob and
-the real axis the path first descends inside the eigenvalue-free cone
-around the real axis and then swings along a circular arc at the
-target radius.  (A straight ray through a blob can land on a wrong
+Root selection is done by the certified continuation of the generic
+gap solver (``_roots.track``), run on the pole-sum form
+m^2 b + lam/(b + w) + (1 - lam)/(b - w) = 0 of the cubic along a path
+that stays inside the holomorphic region and ends at w.  A straight
+ray from infinity is used whenever it avoids the blobs; for points
+lying between a blob and the real axis the path first descends inside
+the eigenvalue-free cone around the real axis and then swings along a
+circular arc at the target radius.  (A straight ray through a blob can land on a wrong
 sheet: the sewing corners of the blob boundary are branch points of
 the cubic, and continuation around them is path dependent.  The
 matching condition is continuity of b with i*beta on the blob
@@ -36,8 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _roots
+from .gapsolve import BranchPointProximity
 
-DEFAULT_PATH_STEPS = 64
+PATH_STEPS = 64
 START_RADIUS_FACTOR = 100.0   # continuation starts at 100/m
 
 
@@ -239,29 +242,15 @@ def gue_green(w, m: float = 1.0):
 # branch-tracked cubic
 # ---------------------------------------------------------------------------
 
-def _cubic_coeff_fn(lam: float, m: float):
-    """Coefficient builder for m^2 b^3 + (1 - m^2 w^2) b + w(1-2 lam) = 0."""
-
-    def fn(w):
-        w = np.asarray(w, dtype=complex)
-        c = np.empty((len(w), 4), dtype=complex)
-        c[:, 0] = m * m
-        c[:, 1] = 0.0
-        c[:, 2] = 1.0 - m * m * w * w
-        c[:, 3] = w * (1.0 - 2.0 * lam)
-        return c
-
-    return fn
-
-
-def continuation_paths(w: np.ndarray, lam: float, m: float,
-                       steps: int = DEFAULT_PATH_STEPS) -> np.ndarray:
-    """Per-point blob-avoiding paths from the start radius, shape (L, n).
+def continuation_paths(w: np.ndarray, lam: float, m: float) -> np.ndarray:
+    """Per-point blob-avoiding paths from the start radius to w, shape (L, n).
 
     Ray-only where the straight ray stays clear of the blobs; cone ray
-    plus circular arc for targets below a blob.  Also usable as the
-    explicit-waypoint input of the generic gap solver when it runs on
-    a signature metric.
+    plus circular arc for targets below a blob.  The ray and arc keep a
+    radius of at least 1e-12 of the start radius, and w itself is the
+    last waypoint.  Also
+    usable as the explicit-waypoint input of the generic gap solver when
+    it runs on a signature metric.
     """
     theta = np.angle(w)
     s0 = sin_theta0(lam)
@@ -285,12 +274,12 @@ def continuation_paths(w: np.ndarray, lam: float, m: float,
     )
     theta_start = np.where(needs_arc, theta_c, theta)
 
-    t = np.linspace(0.0, 1.0, steps + 1)[:, None]
+    t = np.linspace(0.0, 1.0, PATH_STEPS + 1)[:, None]
     radii = r[None, :] * (start_r / r)[None, :] ** (1.0 - t)       # geometric descent
     ray = radii * np.exp(1j * theta_start)[None, :]
     angles = theta_start[None, :] + t * (theta - theta_start)[None, :]
     arc = r[None, :] * np.exp(1j * angles)
-    return np.concatenate([ray, arc], axis=0)
+    return np.concatenate([ray, arc, w[None, :]], axis=0)
 
 
 def s0_half_angle(lam: float) -> float:
@@ -298,9 +287,12 @@ def s0_half_angle(lam: float) -> float:
     return 0.5 * np.arcsin(sin_theta0(lam)) if sin_theta0(lam) < 1.0 else 0.25 * np.pi
 
 
-def holomorphic_b(w, lam: float, m: float = 1.0, steps: int = DEFAULT_PATH_STEPS):
+def holomorphic_b(w, lam: float, m: float = 1.0):
     """Branch b(w) of the cubic continued from the large-|w| asymptote.
 
+    The cubic is the cleared form of the pole-sum gap equation
+    m^2 b + lam/(b + w) + (1 - lam)/(b - w) = 0, tracked by the generic
+    certified tracker with poles mu = (1, -1) and weights (lam, 1 - lam).
     Valid for w outside the blobs and off the real band (use explicit
     +-i eps offsets for band side limits).  For lam = 1/2 the traceless
     metric forces b = 0 identically outside the disk.
@@ -314,22 +306,18 @@ def holomorphic_b(w, lam: float, m: float = 1.0, steps: int = DEFAULT_PATH_STEPS
         return complex(out[0]) if scalar else out
     if np.any(in_blobs(w, lam, m)):
         raise ValueError("holomorphic branch requested inside the blobs")
-    fn = _cubic_coeff_fn(lam, m)
-    path = continuation_paths(w, lam, m, steps)
-    roots0 = _roots.roots_batch(fn(path[0]))
+    mu, c = np.array([1.0, -1.0]), np.array([lam, 1.0 - lam])
+    path = continuation_paths(w, lam, m)
     asym = (1.0 - 2.0 * lam) / (m * m * path[0])
-    b0 = np.take_along_axis(
-        roots0, np.argmin(np.abs(roots0 - asym[:, None]), axis=-1)[:, None], axis=-1
-    )[:, 0]
-    b, failed = _roots.track(fn, path, b0)
+    b, failed = _roots.track(mu[c > 0], c[c > 0], m, path, asym)
     if np.any(failed):
-        raise _roots.BranchPointProximity(
+        raise BranchPointProximity(
             f"branch tracking failed at {w[failed][:3]} (first few shown)"
         )
     return complex(b[0]) if scalar else b
 
 
-def green_holomorphic(w, lam: float, m: float = 1.0, steps: int = DEFAULT_PATH_STEPS):
+def green_holomorphic(w, lam: float, m: float = 1.0):
     """Resolvent G(w) outside the blobs, G = lam/(b+w) - (1-lam)/(b-w).
 
     Satisfies w G = 1 + m^2 b^2 and G ~ 1/w at infinity; for lam = 1/2
@@ -338,7 +326,7 @@ def green_holomorphic(w, lam: float, m: float = 1.0, steps: int = DEFAULT_PATH_S
     w = np.asarray(w, dtype=complex)
     scalar = w.ndim == 0
     wv = np.atleast_1d(w).ravel()
-    b = np.atleast_1d(holomorphic_b(wv, lam, m, steps))
+    b = np.atleast_1d(holomorphic_b(wv, lam, m))
     g = lam / (b + wv) - (1.0 - lam) / (b - wv)
     return complex(g[0]) if scalar else g.reshape(w.shape)
 

@@ -1,9 +1,11 @@
+import time
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phspec import _roots
 from phspec import gapsolve as G
 from phspec import metric as M
 from phspec import theory as T
@@ -14,6 +16,49 @@ SIG_HALF = M.Signature(k=32, n=64)        # lam = 1/2, traceless
 IDENT = M.Signature(k=16, n=16)           # positive definite
 FLAT = M.FlatContinuum(mu1=2.0, lminus=1.0, mu2=2.0, lplus=1.0)
 SIGNATURES = {lam: M.Signature(k=int(64 * lam), n=64) for lam in (0.125, 0.25, 0.375)}
+
+_OMEGA = np.exp(2j * np.pi / 3.0)
+
+
+def _cubic_roots(w, lam, m):
+    """Closed-form roots of m^2 b^3 + (1 - m^2 w^2) b + w (1 - 2 lam) = 0, shape (n, 3)."""
+    p = (1.0 - m * m * w * w) / (m * m)
+    q = w * (1.0 - 2.0 * lam) / (m * m)
+    s = np.sqrt(q * q + 4.0 * p**3 / 27.0)
+    c3 = np.where(np.abs(-q + s) >= np.abs(-q - s), -q + s, -q - s) / 2.0
+    ck = (c3 ** (1.0 / 3.0))[:, None] * _OMEGA ** np.arange(3)
+    return ck - p[:, None] / (3.0 * ck)
+
+
+def _oracle_track(path, lam, m=1.0, refine=64):
+    """Reference branch of the cubic at ``path[-1]``: the nearest closed-form
+    root along ``path`` cut into ``refine`` times finer straight steps, each
+    of which must be unambiguous (the root moves by less than half its
+    distance to the next root), from the large-|w| asymptote."""
+    t = np.linspace(0.0, 1.0, refine, endpoint=False)[:, None, None]
+    fine = (path[:-1] + t * np.diff(path, axis=0)).transpose(1, 0, 2).reshape(-1, path.shape[1])
+    roots = _cubic_roots(fine[0], lam, m)
+    asym = (1.0 - 2.0 * lam) / (m * m * fine[0])
+    b = roots[np.arange(len(asym)), np.argmin(np.abs(roots - asym[:, None]), axis=1)]
+    for wj in np.concatenate([fine[1:], path[-1:]]):
+        roots = _cubic_roots(wj, lam, m)
+        dist = np.abs(roots - b[:, None])
+        order = np.argsort(dist, axis=1)
+        near = np.take_along_axis(roots, order[:, :1], axis=1)[:, 0]
+        second = np.take_along_axis(roots, order[:, 1:2], axis=1)[:, 0]
+        assert np.all(np.abs(near - b) < 0.5 * np.abs(second - near)), "ambiguous oracle step"
+        b = near
+    return b
+
+
+def _oracle_b(w, lam, m=1.0):
+    return _oracle_track(T.continuation_paths(w, lam, m), lam, m)
+
+
+def _signed_atoms(count):
+    v = np.linspace(0.5, 1.5, count)
+    v[::4] *= -1.0
+    return v
 
 
 class TestHolomorphic:
@@ -34,10 +79,14 @@ class TestHolomorphic:
     def test_matches_closed_form_cubic(self):
         lam = 0.25
         pts = np.array([2.0 + 0.5j, 0.5 + 0.05j, 3.0j, -1.2 + 0.9j, 0.2 - 1.1j])
+        ref = _oracle_b(pts, lam)
         b, g, res, coll = G.solve_holomorphic_batch(SIG_QUARTER, pts, 1.0)
         assert not coll.any()
-        assert np.max(np.abs(b - T.holomorphic_b(pts, lam, 1.0))) <= 1e-10
-        assert np.max(np.abs(g - T.green_holomorphic(pts, lam, 1.0))) <= 1e-10
+        assert np.max(np.abs(b - ref)) <= 1e-10
+        assert np.max(np.abs(T.holomorphic_b(pts, lam, 1.0) - ref)) <= 1e-10
+        g_ref = lam / (ref + pts) - (1.0 - lam) / (ref - pts)
+        assert np.max(np.abs(g - g_ref)) <= 1e-10
+        assert np.max(np.abs(T.green_holomorphic(pts, lam, 1.0) - g_ref)) <= 1e-10
         assert np.max(res) <= 1e-10
 
     def test_under_blob_with_waypoints(self):
@@ -49,7 +98,7 @@ class TestHolomorphic:
         paths = T.continuation_paths(pts, lam, 1.0)
         b, g, res, coll = G.solve_holomorphic_batch(SIG_QUARTER, pts, 1.0, paths=paths)
         assert not coll.any()
-        assert np.max(np.abs(b - T.holomorphic_b(pts, lam, 1.0))) <= 1e-10
+        assert np.max(np.abs(b - _oracle_b(pts, lam))) <= 1e-10
 
     def test_scalar_wrapper(self):
         sol = G.solve_holomorphic(SIG_QUARTER, 2.0 + 1.0j, 1.0)
@@ -57,6 +106,18 @@ class TestHolomorphic:
         assert sol.alpha == 0.0
         assert sol.residual <= 1e-10
         assert sol.zeta == pytest.approx(-sol.w / sol.b)
+
+    def test_paths_end_exactly_at_tiny_targets(self):
+        pts = np.array([1e-12j, 1e-10j])
+        assert np.array_equal(G._default_paths(pts, SIG_QUARTER, 1.0)[-1], pts)
+        assert np.array_equal(T.continuation_paths(pts, 0.25, 1.0)[-1], pts)
+        _, _, res, coll = G.solve_holomorphic_batch(SIG_QUARTER, pts, 1.0)
+        assert not coll.any()
+        assert np.max(res) <= 1e-9
+        # too close to the branch points at 0 to resolve: flagged, not garbage
+        unresolvable = np.array([6.8e-191 * (1 + 1j), 6.8e-191 * (1 - 1j), 1e-300j])
+        _, _, res, coll = G.solve_holomorphic_batch(SIG_QUARTER, unresolvable, 1.0)
+        assert coll.all()
 
     def test_band_collision_raises(self):
         with pytest.raises(G.BranchPointProximity):
@@ -173,13 +234,39 @@ class TestClassifyAndBoundary:
         rho = T.rho_real(0.5, 0.25, 1.0)
         assert sol.green.imag == pytest.approx(-np.pi * rho, abs=1e-4)
 
-    def test_cut_side_limit_collision_is_unresolved(self):
-        # 32 signed atoms: the side limit's track collides too, which must
-        # leave the point unresolved instead of aborting the whole grid
-        v = np.linspace(0.5, 1.5, 32)
-        v[::4] *= -1.0
-        metric = M.ExplicitDiagonal([v[i % 32] for i in range(256)])
-        assert G.classify_grid(metric, [-1.2 + 0j], 1.0) == [None]
+    def test_cut_side_limit_collision_is_unresolved(self, monkeypatch):
+        # a track that collides on the first attempt and on the side-limit
+        # retry leaves the point unresolved instead of aborting the grid
+        def collide(mu, c, m, paths, b0):
+            return np.asarray(b0, dtype=complex), np.ones(paths.shape[1], dtype=bool)
+
+        monkeypatch.setattr(_roots, "track", collide)
+        sols = G.classify_grid(SIG_QUARTER, [0.5 + 0j, 2.0 + 1.0j, 0.3 + 0.4j], 1.0)
+        assert sols[:2] == [None, None]
+        assert sols[2].phase == G.NONHOLOMORPHIC
+        with pytest.raises(G.BranchPointProximity):
+            G.classify_phase(SIG_QUARTER, 0.5 + 0j, 1.0)
+
+    def test_many_atom_cut_side_limit_solves(self):
+        # 32 signed atoms: the side limit at -1.2 agrees with a point just above
+        metric = M.ExplicitDiagonal(list(np.tile(_signed_atoms(32), 8)))
+        sol = G.classify_grid(metric, [-1.2 + 0j], 1.0)[0]
+        assert sol.note == "real-axis cut: upper side limit"
+        _, g, _, coll = G.solve_holomorphic_batch(metric, np.array([-1.2 + 1e-6j]), 1.0)
+        assert not coll[0]
+        assert abs(sol.green - g[0]) <= 1e-5
+
+    def test_near_axis_points_take_their_own_side_limit(self):
+        metric = M.Signature(k=64, n=256)
+        pts = [0.3 + 1e-100j, 0.3 + 1e-15j, 0.3 - 1e-15j, 0.3 + 0j]
+        above, tiny, below, axis = G.classify_grid(metric, pts, 1.0)
+        assert [s.w for s in (above, tiny, below, axis)] == pts
+        for sol in (above, tiny, axis):
+            assert sol.note == "real-axis cut: upper side limit"
+            assert sol.green == axis.green
+        assert below.note == "real-axis cut: lower side limit"
+        assert abs(below.green - np.conj(axis.green)) <= 1e-12
+        assert axis.green.imag == pytest.approx(-np.pi * T.rho_real(0.3, 0.25, 1.0), abs=1e-4)
 
     def test_far_points_always_holomorphic(self):
         for w in (3.0 + 3.0j, -5.0j, 10.0 + 0.1j):
@@ -210,13 +297,8 @@ class TestClassifyAndBoundary:
 
 
 _coord = st.floats(-1.2, 1.2)
-# Nonzero points within 1e-6 of the origin are left out: there the
-# holomorphic tracker stops short of w and returns an unconverged b
-# (residual up to ~1e9), a defect of the tracker outside what this
-# property checks.
 _point = st.one_of(st.builds(complex, _coord, _coord),
-                   st.builds(complex, _coord, st.just(0.0))    # exact real axis
-                   ).filter(lambda w: w == 0 or abs(w) >= 1e-6)
+                   st.builds(complex, _coord, st.just(0.0)))    # exact real axis
 
 
 @settings(max_examples=20, deadline=None)
@@ -244,6 +326,80 @@ def test_grid_batch_matches_single_points(lam, pts):
         if a is not None and b is not None:
             assert a.phase == b.phase
             assert abs(b.green - np.conj(a.green)) <= 1e-12
+
+
+def _atomic_metric(count, seed):
+    """count distinct signed atoms in [0.3, 2], each repeated 1-3 times."""
+    rng = np.random.default_rng(seed)
+    mags = rng.uniform(0.3, 2.0, count) * rng.choice([-1.0, 1.0], count)
+    return M.ExplicitDiagonal(list(np.repeat(mags, rng.integers(1, 4, count))))
+
+
+def _flat_metric(mu1, f1, mu2, f2):
+    return M.FlatContinuum(mu1=mu1, lminus=f1 * mu1, mu2=mu2, lplus=f2 * mu2)
+
+
+_fraction = st.floats(0.1, 0.9)
+_metric = st.one_of(
+    st.builds(_atomic_metric, st.integers(2, 256), st.integers(0, 2**32 - 1)),
+    st.builds(_flat_metric, st.floats(0.5, 2.0), _fraction, st.floats(0.5, 2.0), _fraction))
+
+
+@settings(max_examples=40, deadline=None)
+@given(metric=_metric, m=st.sampled_from([0.5, 1.0, 2.0]),
+       radii=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4),
+       angle=st.floats(0.05, np.pi - 0.05))
+def test_holomorphic_identities_hold_for_any_metric(metric, m, radii, angle):
+    """w G = 1 + m^2 b^2 on the tracked root, G(conj w) = conj G(w), and
+    w G -> 1 far away, for atomic metrics with 2-256 atoms and flat ones."""
+    scale = M.support_radius(metric) / m
+    w = np.array(radii) * scale * np.exp(1j * angle)
+    far = 1e3 * scale * np.exp(1j * angle)
+    pts = np.concatenate([w, np.conj(w), [far]])
+    b, g, res, coll = G.solve_holomorphic_batch(metric, pts, m)
+    assert not coll.any()
+    assert np.max(res) <= 1e-9
+    assert np.max(np.abs(pts * g - 1.0 - m * m * b * b)) <= 1e-9
+    k = len(w)
+    assert np.max(np.abs(g[k:2 * k] - np.conj(g[:k]))) <= 1e-12 * np.max(np.abs(g[:k]))
+    assert abs(far * g[-1] - 1.0) <= 1e-5
+
+
+class TestTracker:
+    def test_128_atoms_solve_in_milliseconds(self):
+        metric = M.ExplicitDiagonal(list(_signed_atoms(128)))
+        w = np.array([1.2 + 1.2j])
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            _, _, res, coll = G.solve_holomorphic_batch(metric, w, 1.0)
+            times.append(time.perf_counter() - t0)
+        assert not coll[0] and res[0] <= 1e-9
+        assert min(times) < 0.05
+
+
+    def test_coarse_rays_are_wrong_only_where_flagged(self):
+        # default rays are straight, so every 16th waypoint spans the same
+        # path: each point lands where the full path does, or is flagged
+        xs = np.linspace(-1.2, 1.2, 21)
+        w = (xs[:, None] + 1j * xs[None, :]).ravel()
+        paths = G._default_paths(w, SIG_QUARTER, 1.0)
+        b, _, _, coll = G.solve_holomorphic_batch(SIG_QUARTER, w, 1.0, paths=paths)
+        coarse = np.concatenate([paths[:-1:16], paths[-1:]])
+        bc, _, _, coll_c = G.solve_holomorphic_batch(SIG_QUARTER, w, 1.0, paths=coarse)
+        assert np.all(coll_c | (~coll & (np.abs(bc - b) <= 1e-8)))
+
+    def test_coarse_arcs_round_a_branch_point_are_wrong_only_where_flagged(self):
+        # arcs of radius 1/4 around the semicircle edge w = 2, each in three
+        # chords: a chord may not swap the branch unless the point is flagged
+        th1 = np.repeat(np.linspace(0.5, 2.5, 5), 4)
+        th2 = th1 + np.tile([-5.0, -4.0, 4.0, 5.0], 5)
+        start = 2.0 + 0.25 * np.exp(1j * th1)
+        approach = start + (10j - start) * np.linspace(1.0, 0.0, 65)[:, None]
+        arc = 2.0 + 0.25 * np.exp(1j * (th1 + np.linspace(0.0, 1.0, 4)[:, None] * (th2 - th1)))
+        paths = np.concatenate([approach, arc[1:]])
+        b, coll = _roots.track(np.array([1.0]), np.array([1.0]), 1.0, paths, -1.0 / paths[0])
+        assert np.all(coll | (np.abs(b - _oracle_track(paths, 1.0)) <= 1e-8))
 
 
 class TestDensityAndIdentities:

@@ -158,6 +158,16 @@ class TestExperiments:
         assert lines[0] == "x,y,phase,alpha2,re_b,im_b,re_G,im_G,residual"
         assert len(lines) == 11 * 11 + 1
 
+    def test_gap_grid_asymmetric_flat(self, tmp_path):
+        # the continuum metric's real-axis points sit on the cut of b and
+        # must come back as flagged side limits, not as a wrong branch
+        cfg = make_cfg(tmp_path, experiment="gap_grid",
+                       metric={"type": "flat", "mu1": 1.0, "lminus": 0.5,
+                               "mu2": 1.5, "lplus": 1.0},
+                       n=64, grid_points=41)
+        rep = X.run_gap_grid(cfg)
+        assert rep.passed, rep.checks
+
     def test_gap_grid_small_signature(self, tmp_path):
         cfg = make_cfg(tmp_path, experiment="gap_grid", grid_points=21)
         rep = X.run_gap_grid(cfg)
