@@ -1,19 +1,23 @@
-"""Thread count of the OpenBLAS that numpy is linked to.
+"""Thread count of the OpenBLAS that numpy is linked to, and the one
+pinned-BLAS map over seeded samples.
 
-Two kinds of work run on one BLAS thread.  The finite-N checks solve
-thousands of small dense problems (N <= 128) one after another;
-OpenBLAS splits each over its thread pool, which gains little at that
-size, and while another process holds a core a call now and then waits
-milliseconds for a descheduled worker, so single calls took 20-100x
-their median time.  The Monte Carlo eigensolves (N = 256-1024) are
-faster on one thread per process, with the samples spread over the
-cores instead, and their eigenvalue bits then no longer depend on the
-machine's core count.
+All sample loops run on one BLAS thread per process and spread their
+samples over worker processes instead.  The finite-N checks solve
+thousands of small dense problems (N <= 128); OpenBLAS splits each over
+its thread pool, which gains little at that size, and while another
+process holds a core a call now and then waits milliseconds for a
+descheduled worker, so single calls took 20-100x their median time.
+The Monte Carlo eigensolves (N = 256-1024) are faster on one thread per
+process, with the samples spread over the cores instead, and their
+eigenvalue bits then no longer depend on the machine's core count.
 
-``single_thread`` runs a block on one BLAS thread and restores the
-count after; ``pin_single_thread`` sets one thread for the rest of the
-process (the initializer of the sampling workers).  Where numpy's BLAS
-is not OpenBLAS both change nothing.
+``map_samples`` is that loop: ``fn(i)`` for i = 0..count-1 over
+``num_workers`` processes, each pinned by ``pin_single_thread``, or in
+this process under ``single_thread``, which runs a block on one BLAS
+thread and restores the count after.  Results come back in index order,
+so a caller that reduces them in that order gets the same bits for any
+worker count.  Where numpy's BLAS is not OpenBLAS the thread controls
+change nothing.
 """
 
 from __future__ import annotations
@@ -80,3 +84,35 @@ def single_thread():
         yield
     finally:
         put(before)
+
+
+def num_workers(threads: int | None, count: int) -> int:
+    """Worker processes used for ``count`` samples; None means all cores."""
+    if threads is None:
+        threads = os.cpu_count() or 1
+    return min(threads, count)
+
+
+def map_samples(fn, count: int, threads: int | None = None) -> list:
+    """``[fn(i) for i in range(count)]`` on one BLAS thread per process.
+
+    With more than one worker (``num_workers(threads, count)``), ``fn``
+    must pickle (a module-level function or a ``functools.partial`` of
+    one), and each worker computes its own results from the index, so
+    forked workers inherit no samples from this process.  An exception
+    raised by ``fn`` reaches the caller.  Indices go out in chunks of
+    about a sixteenth of a worker's share: a round trip to a worker is
+    a sizeable part of a finite-N draw (1-4 ms), and chunks that small
+    still even out the workers' loads.
+    """
+    workers = num_workers(threads, count)
+    if workers <= 1:
+        with single_thread():
+            return [fn(i) for i in range(count)]
+    # imported here: runs that never use a pool need no multiprocessing
+    import concurrent.futures
+
+    chunk = max(1, count // (16 * workers))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                initializer=pin_single_thread) as pool:
+        return list(pool.map(fn, range(count), chunksize=chunk))

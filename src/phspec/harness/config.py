@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 
 from .. import metric as metric_mod
-from ..metric import Metric
+from ..metric import Metric, Signature
 
 EXPERIMENTS = (
     "real_density",
@@ -18,6 +18,11 @@ EXPERIMENTS = (
     "verify",
     "semicircle",
 )
+
+
+class ConfigError(ValueError):
+    """A run configuration that is malformed, or whose experiment and
+    metric do not fit together."""
 
 
 @dataclass
@@ -39,16 +44,30 @@ class RunConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}")
+            raise ConfigError(f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}")
         if (self.n < 2 or self.samples < 1 or not self.m > 0
                 or (self.threads is not None and self.threads < 1)):
-            raise ValueError("n >= 2, samples >= 1, m > 0, threads >= 1 required")
+            raise ConfigError("n >= 2, samples >= 1, m > 0, threads >= 1 required")
         if self.experiment == "real_fraction_sweep" and not self.lambdas:
-            raise ValueError("real_fraction_sweep needs a nonempty 'lambdas' list")
+            raise ConfigError("real_fraction_sweep needs a nonempty 'lambdas' list")
         if self.bins < 2:
-            raise ValueError("bins must be >= 2")
+            raise ConfigError("bins must be >= 2")
+        self._check_metric_fits()
         if self.experiment != "real_fraction_sweep":
             metric_mod.realize(self.metric, self.n)   # realizability check up front
+
+    def _check_metric_fits(self):
+        """The closed forms an experiment compares against exist only for
+        some metrics; refuse the others before anything runs."""
+        is_sig = isinstance(self.metric, Signature)
+        if self.experiment in ("real_density", "complex_scatter", "uniformity") and not is_sig:
+            raise ConfigError(f"{self.experiment} needs a signature metric")
+        if (self.experiment in ("complex_scatter", "uniformity")
+                and not 0.0 < self.metric.lam < 1.0):
+            raise ConfigError(f"{self.experiment} needs an indefinite signature (0 < lam < 1)")
+        # a non-signature metric is replaced by the definite Signature(0, n)
+        if self.experiment == "semicircle" and is_sig and self.metric.lam not in (0.0, 1.0):
+            raise ConfigError("semicircle needs a definite signature (k = 0 or k = n)")
 
     def to_dict(self) -> dict:
         d = {

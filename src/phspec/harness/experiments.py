@@ -3,6 +3,7 @@ emits CSV data plus a ComparisonReport."""
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -19,7 +20,7 @@ from ..metric import Signature
 from . import io
 from .config import RunConfig
 from .report import ComparisonReport, Stopwatch, provenance
-from .sampling import map_spectra, num_workers
+from .sampling import map_spectra
 from .thresholds import THRESHOLDS
 
 
@@ -30,6 +31,12 @@ def _new_report(cfg: RunConfig) -> ComparisonReport:
                             provenance=provenance(1, _blas.num_threads()))
 
 
+def _mapped_provenance(workers: int) -> dict:
+    """Provenance of a run mapped by ``_blas.map_samples`` over ``workers``
+    processes: one BLAS thread each where the count can be set."""
+    return provenance(workers, None if _blas.num_threads() is None else 1)
+
+
 def _spectra(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch, metric=None):
     """``map_spectra`` over cfg's ensemble, with ``metric`` in place of cfg's
     if given.  Adds the skipped eigensolves to the report, records the
@@ -37,17 +44,9 @@ def _spectra(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch, metric=None):
     samples, skipped = map_spectra(cfg.metric if metric is None else metric, cfg.n,
                                    cfg.m, cfg.seed, cfg.samples, cfg.threads)
     rep.skip_counts["eigensolve"] = rep.skip_counts.get("eigensolve", 0) + skipped
-    # every eigensolve runs on one BLAS thread where the count can be set
-    blas_threads = None if _blas.num_threads() is None else 1
-    rep.provenance = provenance(num_workers(cfg.threads, cfg.samples), blas_threads)
+    rep.provenance = _mapped_provenance(_blas.num_workers(cfg.threads, cfg.samples))
     sw.lap("sampling")
     return samples, skipped
-
-
-def _require_signature(cfg: RunConfig) -> float:
-    if not isinstance(cfg.metric, Signature):
-        raise ValueError(f"{cfg.experiment} needs a signature metric")
-    return cfg.metric.lam
 
 
 def _out(cfg: RunConfig, name: str) -> str:
@@ -74,7 +73,7 @@ def run(cfg: RunConfig) -> ComparisonReport:
 
 def run_real_density(cfg: RunConfig) -> ComparisonReport:
     """KS comparison of the real-eigenvalue distribution with its closed form."""
-    lam = _require_signature(cfg)
+    lam = cfg.metric.lam
     rep = _new_report(cfg)
     with Stopwatch() as sw:
         samples, _ = _spectra(cfg, rep, sw)
@@ -164,9 +163,7 @@ def _distance_to_curve(points: np.ndarray, curve: np.ndarray) -> np.ndarray:
 
 def run_complex_scatter(cfg: RunConfig) -> ComparisonReport:
     """Scatter data and the fraction of complex outliers beyond the boundary."""
-    lam = _require_signature(cfg)
-    if lam <= 0.0 or lam >= 1.0:
-        raise ValueError("complex_scatter needs an indefinite signature (0 < lam < 1)")
+    lam = cfg.metric.lam
     rep = _new_report(cfg)
     with Stopwatch() as sw:
         samples, _ = _spectra(cfg, rep, sw)
@@ -208,9 +205,7 @@ def run_complex_scatter(cfg: RunConfig) -> ComparisonReport:
 
 def run_uniformity(cfg: RunConfig) -> ComparisonReport:
     """Interior-cell density against the uniform value m^2/pi."""
-    lam = _require_signature(cfg)
-    if lam <= 0.0 or lam >= 1.0:
-        raise ValueError("uniformity needs an indefinite signature")
+    lam = cfg.metric.lam
     rep = _new_report(cfg)
     with Stopwatch() as sw:
         samples, _ = _spectra(cfg, rep, sw)
@@ -366,49 +361,71 @@ def run_gap_grid(cfg: RunConfig) -> ComparisonReport:
 # finite-N verification suite
 # ---------------------------------------------------------------------------
 
+_N_SMALL = 8
+_METRIC_SMALL = Signature(k=2, n=_N_SMALL)
+_Z_POINTS = (0.3 + 0.4j, -0.7 + 0.2j, 1.1 - 0.6j, 0.05 + 1.0j, -0.4 - 0.9j)
+_IDENTITIES = ("gamma", "block", "trace_pair", "half_trace", "sym_neg", "sym_conj",
+               "square", "diag_imag", "equal_sums", "inter_44_11", "inter_33_22",
+               "adjoint")
+
+
+def _identity_draw(seed: int, m: float, i: int) -> tuple[dict, int]:
+    """Worst residual of each exact identity on draw i at n = 8, and the
+    number of near-singular shifts skipped."""
+    worst = dict.fromkeys(_IDENTITIES, 0.0)
+    skipped = 0
+    a = ens.sample_gue(_N_SMALL, m, ens.mix_seed(seed, i))
+    dm = hermcheck.build_doubled(a, _METRIC_SMALL)
+    worst["gamma"] = max(worst["gamma"], hermcheck.gamma_anticommutator_norm(dm))
+    sym = hermcheck.check_spectrum_symmetry(a, _METRIC_SMALL)
+    worst["sym_neg"] = max(worst["sym_neg"], sym["negation"])
+    worst["sym_conj"] = max(worst["sym_conj"], sym["conjugation"])
+    worst["square"] = max(worst["square"], sym["square_vs_phi"])
+    for z in _Z_POINTS:
+        res = hermcheck.check_block_resolvent(a, _METRIC_SMALL, z)
+        if res.get("skipped"):
+            skipped += 1
+            continue
+        worst["block"] = max(worst["block"], res["block_residual"])
+        worst["trace_pair"] = max(worst["trace_pair"], res["trace_pairing_residual"])
+        worst["half_trace"] = max(worst["half_trace"], res["half_trace_residual"])
+    for s in (0.05, 0.1, 0.5):
+        ids = hermcheck.block_trace_identities(a, _METRIC_SMALL, s, _Z_POINTS[i % 5])
+        worst["diag_imag"] = max(worst["diag_imag"], ids["diag_real_part"])
+        worst["equal_sums"] = max(worst["equal_sums"], ids["equal_sums"])
+        worst["inter_44_11"] = max(worst["inter_44_11"], ids["interrelation_44_11"])
+        worst["inter_33_22"] = max(worst["inter_33_22"], ids["interrelation_33_22"])
+        worst["adjoint"] = max(worst["adjoint"], ids["adjoint_14_41"])
+    return worst, skipped
+
+
 def run_verify(cfg: RunConfig) -> ComparisonReport:
-    """Exact finite-N identities at small N plus the averaged gap equations."""
+    """Exact finite-N identities at small N plus the averaged gap equations.
+
+    Each of the three stages maps its draws over ``cfg.threads`` worker
+    processes and reduces them in draw order, so every residual is
+    bit-identical for any ``threads``.
+    """
     tolerances = {}
 
     def check(name, value, tol):
         tolerances[name] = tol
         rep.add_check(name, value <= tol, value)
 
+    num_draws, num_avg = min(cfg.samples, 100), min(cfg.samples, 500)
     # thousands of small dense problems: one BLAS thread keeps them steady
     with _blas.single_thread(), Stopwatch() as sw:
         rep = _new_report(cfg)
-        n_small = 8
-        metric_small = Signature(k=2, n=n_small)
-        worst = {"gamma": 0.0, "block": 0.0, "trace_pair": 0.0, "half_trace": 0.0,
-                 "sym_neg": 0.0, "sym_conj": 0.0, "square": 0.0,
-                 "diag_imag": 0.0, "equal_sums": 0.0, "inter_44_11": 0.0,
-                 "inter_33_22": 0.0, "adjoint": 0.0}
-        z_points = (0.3 + 0.4j, -0.7 + 0.2j, 1.1 - 0.6j, 0.05 + 1.0j, -0.4 - 0.9j)
-        num_draws = min(cfg.samples, 100)
-        for i in range(num_draws):
-            a = ens.sample_gue(n_small, cfg.m, ens.mix_seed(cfg.seed, i))
-            dm = hermcheck.build_doubled(a, metric_small)
-            worst["gamma"] = max(worst["gamma"], hermcheck.gamma_anticommutator_norm(dm))
-            sym = hermcheck.check_spectrum_symmetry(a, metric_small)
-            worst["sym_neg"] = max(worst["sym_neg"], sym["negation"])
-            worst["sym_conj"] = max(worst["sym_conj"], sym["conjugation"])
-            worst["square"] = max(worst["square"], sym["square_vs_phi"])
-            for z in z_points:
-                res = hermcheck.check_block_resolvent(a, metric_small, z)
-                if res.get("skipped"):
-                    rep.skip_counts["near_singular_shift"] = \
-                        rep.skip_counts.get("near_singular_shift", 0) + 1
-                    continue
-                worst["block"] = max(worst["block"], res["block_residual"])
-                worst["trace_pair"] = max(worst["trace_pair"], res["trace_pairing_residual"])
-                worst["half_trace"] = max(worst["half_trace"], res["half_trace_residual"])
-            for s in (0.05, 0.1, 0.5):
-                ids = hermcheck.block_trace_identities(a, metric_small, s, z_points[i % 5])
-                worst["diag_imag"] = max(worst["diag_imag"], ids["diag_real_part"])
-                worst["equal_sums"] = max(worst["equal_sums"], ids["equal_sums"])
-                worst["inter_44_11"] = max(worst["inter_44_11"], ids["interrelation_44_11"])
-                worst["inter_33_22"] = max(worst["inter_33_22"], ids["interrelation_33_22"])
-                worst["adjoint"] = max(worst["adjoint"], ids["adjoint_14_41"])
+        rep.provenance = _mapped_provenance(_blas.num_workers(cfg.threads, num_avg))
+        worst = dict.fromkeys(_IDENTITIES, 0.0)
+        skipped = 0
+        for draw, draw_skipped in _blas.map_samples(
+                functools.partial(_identity_draw, cfg.seed, cfg.m), num_draws, cfg.threads):
+            for name in _IDENTITIES:
+                worst[name] = max(worst[name], draw[name])
+            skipped += draw_skipped
+        if skipped:
+            rep.skip_counts["near_singular_shift"] = skipped
         for name, value in worst.items():
             check(f"identity[{name}]", value, THRESHOLDS["finite_n_identity"])
         sw.lap("identities")
@@ -417,9 +434,10 @@ def run_verify(cfg: RunConfig) -> ComparisonReport:
         n_avg = 64
         metric_avg = Signature(k=n_avg // 4, n=n_avg)
         cfg_avg = ens.EnsembleConfig(n=n_avg, m=cfg.m, metric=metric_avg,
-                                     master_seed=cfg.seed, num_samples=min(cfg.samples, 500))
+                                     master_seed=cfg.seed, num_samples=num_avg)
         w = (0.05 + 0.55j) / cfg.m**2
-        gap = hermcheck.averaged_gap_residual(cfg_avg, 0.1, np.sqrt(w), cfg_avg.num_samples)
+        gap = hermcheck.averaged_gap_residual(cfg_avg, 0.1, np.sqrt(w), num_avg,
+                                              cfg.threads)
         rel_tol = THRESHOLDS["averaged_gap_rel"]
         check("avg_a_equals_c", gap.rel_ac, rel_tol)
         check("avg_eq_a", gap.eq_a_residual, rel_tol)
@@ -432,8 +450,8 @@ def run_verify(cfg: RunConfig) -> ComparisonReport:
 
         mc = hermcheck.resolvent_vs_formula(
             ens.EnsembleConfig(n=128, m=cfg.m, metric=Signature(k=32, n=128),
-                               master_seed=cfg.seed + 1, num_samples=min(cfg.samples, 500)),
-            z=np.sqrt(3.0 + 0.0j) / cfg.m)
+                               master_seed=cfg.seed + 1, num_samples=num_avg),
+            z=np.sqrt(3.0 + 0.0j) / cfg.m, threads=cfg.threads)
         check("resolvent_mc", mc["rel_deviation"], THRESHOLDS["resolvent_mc_rel"])
         sw.lap("resolvent")
     rep.timings = sw.laps
@@ -469,9 +487,8 @@ def run_semicircle(cfg: RunConfig) -> ComparisonReport:
     """Definite-metric reduction: semicircle law and the closed resolvent."""
     rep = _new_report(cfg)
     with Stopwatch() as sw:
+        # RunConfig refuses indefinite signatures; other metrics stand in for k = 0
         metric = cfg.metric if isinstance(cfg.metric, Signature) else Signature(0, cfg.n)
-        if metric.lam not in (0.0, 1.0):
-            raise ValueError("semicircle experiment needs a definite signature (k=0 or k=n)")
         samples, _ = _spectra(cfg, rep, sw, metric)
         reals = np.concatenate([s.real_eigs for s in samples])
         rep.add_check("all_real", all(len(s.pair_eigs) == 0 for s in samples))

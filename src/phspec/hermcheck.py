@@ -24,14 +24,21 @@ samples at small N and reported as residuals.  The spectral parameter
 is kept strictly nonzero (s in [0.05, 0.5] in the tests); the s -> 0
 statements involve distributions with no finite-N numerical meaning and
 are probed via the trend in s instead.
+
+The averaged checks map their draws over worker processes through
+``_blas.map_samples`` (``threads``, all cores by default), one BLAS
+thread each, and sum the per-draw traces in sample-index order, so
+their residuals are bit-identical for any ``threads``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas
 from . import ensemble as ens
 from . import gapsolve
 from . import metric as metric_mod
@@ -217,8 +224,16 @@ class GapResidualReport:
         return d
 
 
+def _gap_traces(config: ens.EnsembleConfig, s: float, z: complex, idx: int):
+    """Block traces of draw ``idx`` at s and at s/2."""
+    a = ens.draw_sample(config, idx).a_matrix
+    return (block_traces(a, config.metric, s, z).traces,
+            block_traces(a, config.metric, s / 2.0, z).traces)
+
+
 def averaged_gap_residual(config: ens.EnsembleConfig, s: float, z: complex,
-                          num_samples: int | None = None) -> GapResidualReport:
+                          num_samples: int | None = None,
+                          threads: int | None = None) -> GapResidualReport:
     """Estimate the averaged block traces and plug them into the gap equations.
 
     The self-consistency holds in the limit of vanishing spectral
@@ -228,16 +243,19 @@ def averaged_gap_residual(config: ens.EnsembleConfig, s: float, z: complex,
     s).  Then a_bar = -mean(44)/m^2, c_bar = -mean(11)/m^2,
     b_bar = -mean(41)/m^2, and the reported relative residuals shrink
     like O(1/N) + O(1/sqrt(samples)) + O(s^2).
+
+    The draws are spread over ``threads`` worker processes (all cores by
+    default) and their traces summed in sample-index order.
     """
     if num_samples is None:
         num_samples = config.num_samples
     m = config.m
     acc_s = np.zeros((4, 4), dtype=complex)
     acc_half = np.zeros((4, 4), dtype=complex)
-    for i in range(num_samples):
-        sample = ens.draw_sample(config, i)
-        acc_s += block_traces(sample.a_matrix, config.metric, s, z).traces
-        acc_half += block_traces(sample.a_matrix, config.metric, s / 2.0, z).traces
+    for t_s, t_half in _blas.map_samples(functools.partial(_gap_traces, config, s, z),
+                                         num_samples, threads):
+        acc_s += t_s
+        acc_half += t_half
     mean = (2.0 * acc_half - acc_s) / num_samples
     a_bar = -mean[3, 3] / (m * m)
     c_bar = -mean[0, 0] / (m * m)
@@ -263,17 +281,26 @@ def averaged_gap_residual(config: ens.EnsembleConfig, s: float, z: complex,
     )
 
 
+def _resolvent_trace(config: ens.EnsembleConfig, z: complex, idx: int):
+    """(1/N) tr[z/(z^2 - A B)] of draw ``idx``."""
+    phi = ens.draw_sample(config, idx).phi
+    return z * np.trace(np.linalg.inv(z * z * np.eye(config.n) - phi)) / config.n
+
+
 def resolvent_vs_formula(config: ens.EnsembleConfig, z: complex,
-                         num_samples: int | None = None) -> dict:
-    """Monte Carlo (1/N) tr[z/(z^2 - A B)] against the solved z*G(z^2)."""
+                         num_samples: int | None = None,
+                         threads: int | None = None) -> dict:
+    """Monte Carlo (1/N) tr[z/(z^2 - A B)] against the solved z*G(z^2).
+
+    The draws are mapped as in ``averaged_gap_residual`` and summed in
+    sample-index order.
+    """
     if num_samples is None:
         num_samples = config.num_samples
-    n = config.n
     acc = 0.0 + 0.0j
-    eye = np.eye(n)
-    for i in range(num_samples):
-        sample = ens.draw_sample(config, i)
-        acc += z * np.trace(np.linalg.inv(z * z * eye - sample.phi)) / n
+    for trace in _blas.map_samples(functools.partial(_resolvent_trace, config, z),
+                                   num_samples, threads):
+        acc += trace
     mc = acc / num_samples
     w = z * z
     sol = gapsolve.classify_phase(config.metric, w, config.m)

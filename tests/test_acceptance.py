@@ -1,8 +1,8 @@
 """Acceptance suite: every exit criterion at its pinned parameters.
 
 Each criterion prints one PASS/FAIL line (run pytest with -s to watch).
-The full module takes about 6.5 minutes on 2 cores (criterion 4 alone
-about 4); the heavy Monte Carlo fixtures are shared between criteria
+The full module takes 4.5-6 minutes on 2 cores (criterion 4 alone
+3-4); the heavy Monte Carlo fixtures are shared between criteria
 that reuse the same runs.
 """
 

@@ -73,6 +73,31 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_cfg(tmp_path, experiment="real_fraction_sweep")
 
+    @pytest.mark.parametrize("experiment,metric", [
+        ("real_density", {"type": "diagonal", "values": [1.0, -1.0] * 16}),
+        ("complex_scatter", {"type": "flat", "mu1": 1.0, "lminus": 0.5,
+                             "mu2": 1.0, "lplus": 0.5}),
+        ("uniformity", {"type": "diagonal", "values": [1.0, -1.0] * 16}),
+        ("complex_scatter", {"type": "signature", "k": 0, "n": 32}),
+        ("uniformity", {"type": "signature", "k": 32, "n": 32}),
+        ("semicircle", {"type": "signature", "k": 8, "n": 32}),
+    ])
+    def test_experiment_metric_mismatch(self, tmp_path, experiment, metric):
+        # refused while parsing, before any sampling starts; still a ValueError
+        with pytest.raises(C.ConfigError):
+            make_cfg(tmp_path, experiment=experiment, metric=metric)
+        assert issubclass(C.ConfigError, ValueError)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment,metric", [
+        ("semicircle", {"type": "signature", "k": 32, "n": 32}),
+        ("semicircle", {"type": "diagonal", "values": [1.0, -1.0] * 16}),
+        ("verify", {"type": "diagonal", "values": [1.0, -1.0] * 16}),
+        ("uniformity", {"type": "signature", "k": 8, "n": 32}),
+    ])
+    def test_experiment_metric_fits(self, tmp_path, experiment, metric):
+        assert make_cfg(tmp_path, experiment=experiment, metric=metric).metric is not None
+
 
 class TestSampling:
     def test_threads_reduction_identical(self, tmp_path):
@@ -211,7 +236,7 @@ class TestExperiments:
         assert set(prov) == {"numpy", "blas", "cpu_count", "workers", "blas_threads"}
 
     def test_verify_records_tolerances_and_timings(self, tmp_path):
-        cfg = make_cfg(tmp_path, experiment="verify", samples=4)
+        cfg = make_cfg(tmp_path, experiment="verify", samples=4, threads=2)
         rep = X.run_verify(cfg)
         records = json.loads((tmp_path / "out" / "verification.json").read_text())
         tol = {r["check_name"]: r["tolerance"] for r in records}
@@ -221,6 +246,25 @@ class TestExperiments:
         assert set(data["timings"]) == {"identities", "averaged_gap", "resolvent"}
         total = sum(data["timings"].values())
         assert abs(total - rep.runtime_seconds) <= 0.05 * rep.runtime_seconds
+        prov = data["provenance"]
+        assert prov["workers"] == 2
+        assert prov["blas_threads"] == (None if _blas.num_threads() is None else 1)
+
+    def test_verify_independent_of_threads(self, tmp_path):
+        reports, arrays = [], []
+        with parent_blas_threads(2):
+            for threads in (1, 2, None):
+                out = tmp_path / f"t{threads}"
+                X.run_verify(make_cfg(tmp_path, experiment="verify", samples=12,
+                                      threads=threads, out_dir=str(out)))
+                arrays.append((out / "verification.json").read_bytes())
+                reports.append(json.loads((out / "report.json").read_text()))
+        assert arrays[0] == arrays[1] == arrays[2]
+        for data in reports[1:]:
+            assert data["metrics"] == reports[0]["metrics"]
+            assert data["skip_counts"] == reports[0]["skip_counts"]
+        assert [data["provenance"]["workers"] for data in reports] == \
+            [1, 2, min(os.cpu_count(), 12)]
 
 
 def test_single_thread_scopes_blas_threads():

@@ -159,6 +159,13 @@ class TestAveragedGap:
         assert rep.a_bar.imag == pytest.approx(np.sqrt(a2), abs=0.05)
         assert rep.b_bar.imag == pytest.approx(beta, abs=0.05)
 
+    def test_bits_independent_of_threads(self):
+        cfg = E.EnsembleConfig(n=32, m=1.0, metric=M.Signature(k=8, n=32),
+                               master_seed=5, num_samples=12)
+        one, two = (H.averaged_gap_residual(cfg, 0.1, np.sqrt(0.05 + 0.55j), 12, threads=t)
+                    for t in (1, 2))
+        assert one.as_dict() == two.as_dict()
+
     def test_far_outside_order_parameter_vanishes(self):
         cfg = E.EnsembleConfig(n=32, m=1.0, metric=M.Signature(k=8, n=32),
                                master_seed=8, num_samples=100)
@@ -181,6 +188,12 @@ class TestResolventMc:
         assert rep["phase"] == "holomorphic"
         assert rep["predicted"] == pytest.approx(z * T.gue_green(3.0 + 0j, 1.0), abs=1e-10)
         assert rep["rel_deviation"] <= 0.03
+
+    def test_bits_independent_of_threads(self):
+        cfg = E.EnsembleConfig(n=32, m=1.0, metric=M.Signature(k=8, n=32),
+                               master_seed=12, num_samples=12)
+        one, two = (H.resolvent_vs_formula(cfg, 0.8 + 0.3j, 12, threads=t) for t in (1, 2))
+        assert one == two
 
     def test_large_w_trivial(self):
         cfg = E.EnsembleConfig(n=32, m=1.0, metric=M.Signature(k=8, n=32),
