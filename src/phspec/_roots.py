@@ -8,12 +8,13 @@ with (mu_j, c_j) the atoms of the metric and their weights, or the
 quadrature nodes of a continuum density.  Its physical root is selected
 by continuity along a path of waypoints from the large-|w| asymptote.
 
-``track`` walks every point along its own waypoints in lockstep.  A step
-is an Euler predictor followed by three Newton corrections, accepted
-only when Smale's alpha theory certifies it (Blum, Cucker, Shub and
-Smale, Complexity and Real Computation, 1998, ch. 8; Beltran and Leykin,
-Exp. Math. 2012).  With C = sum_j |c_j| and delta = min_j |b + w/mu_j|
-every higher derivative of f is bounded in closed form, which gives
+``track`` walks every point along its own waypoints in lockstep, each
+from the waypoint value it carries.  A step is an Euler predictor
+followed by three Newton corrections, accepted only when Smale's alpha
+theory certifies it (Blum, Cucker, Shub and Smale, Complexity and Real
+Computation, 1998, ch. 8; Beltran and Leykin, Exp. Math. 2012).  With
+C = sum_j |c_j| and delta = min_j |b + w/mu_j| every higher derivative
+of f is bounded in closed form, which gives
 
     gamma <= max(C / (|f'| delta^3), 1/delta),    beta = |f / f'|.
 
@@ -65,11 +66,13 @@ def track(mu, c, m: float, paths: np.ndarray, b0: np.ndarray):
     last = paths.shape[0] - 1
     n = paths.shape[1]
     c_abs = np.abs(c).sum()
+    c_mu = c / mu
     m2 = m * m
 
     def terms(w, b):
         q = 1.0 / (b[:, None] + w[:, None] / mu)
-        return q, m2 * b + q @ c, m2 - (q * q) @ c
+        q2 = q * q
+        return q, q2, m2 * b + q @ c, m2 - q2 @ c
 
     def gamma(q, fb):
         delta = 1.0 / np.max(np.abs(q), axis=1)
@@ -77,7 +80,7 @@ def track(mu, c, m: float, paths: np.ndarray, b0: np.ndarray):
 
     def newton(w, b):
         for _ in range(NEWTON_STEPS):
-            _, f, fb = terms(w, b)
+            _, _, f, fb = terms(w, b)
             b = b - f / fb
         return b
 
@@ -89,23 +92,25 @@ def track(mu, c, m: float, paths: np.ndarray, b0: np.ndarray):
     h = np.ones(n)
     collided = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
+        w_at = waypoint(t, np.arange(n))   # each point's current waypoint value
         b = newton(paths[0], np.asarray(b0, dtype=complex))
         while True:
             idx = np.flatnonzero((t < last) & ~collided)
             if len(idx) == 0:
                 break
-            w_cur, b_cur = waypoint(t[idx], idx), b[idx]
-            q, _, fb = terms(w_cur, b_cur)
-            slope = ((q * q) @ (c / mu)) / fb          # db/dw = -f_w / f_b
+            w_cur, b_cur = w_at[idx], b[idx]
+            q, q2, _, fb = terms(w_cur, b_cur)
+            slope = (q2 @ c_mu) / fb                   # db/dw = -f_w / f_b
             t_new = np.minimum(t[idx] + h[idx], last)
             w_new = waypoint(t_new, idx)
             b_pred = b_cur + slope * (w_new - w_cur)
-            qp, fp, fbp = terms(w_new, b_pred)
+            qp, _, fp, fbp = terms(w_new, b_pred)
             beta = np.abs(fp / fbp)
             ok = ((beta * gamma(qp, fbp) < ALPHA_MAX)
                   & (np.abs(b_pred - b_cur) + 2.0 * beta < 0.5 * U0 / gamma(q, fb)))
             acc, rej = idx[ok], idx[~ok]
             b[acc] = newton(w_new[ok], b_pred[ok])
+            w_at[acc] = w_new[ok]
             t[acc] = t_new[ok]
             h[acc] = np.minimum(2.0 * h[acc], MAX_STEP)
             h[rej] /= 2.0

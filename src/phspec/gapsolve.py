@@ -93,6 +93,15 @@ class GapSolution:
     def alpha2(self) -> float:
         return self.alpha * self.alpha
 
+    def take(self, idx) -> GapSolution:
+        """Entries ``idx`` of a GapSolution of arrays (``columns``)."""
+        return GapSolution(*(v[idx] for v in vars(self).values()))
+
+
+def columns(sols: list[GapSolution]) -> GapSolution:
+    """The solutions as one GapSolution of arrays, entry i from sols[i]."""
+    return GapSolution(*map(np.array, zip(*(vars(s).values() for s in sols))))
+
 
 # ---------------------------------------------------------------------------
 # eigenvalue density of B as weighted poles
@@ -186,15 +195,14 @@ def solve_holomorphic(metric: Metric, w: complex, m: float = 1.0,
     b, green, res, collided = solve_holomorphic_batch(metric, np.array([w]), m, paths=paths)
     if collided[0]:
         raise BranchPointProximity(f"branch collision on the continuation path to w={w}")
-    return _package_holomorphic(complex(w), complex(b[0]), complex(green[0]), float(res[0]))
+    return _holomorphic_solutions(np.array([w], dtype=complex), b, green, res)[0]
 
 
-def _package_holomorphic(w, b, green, residual):
-    zeta = complex(np.inf, np.inf) if b == 0 else -w / b
-    return GapSolution(
-        w=w, phase=HOLOMORPHIC, b=b, alpha=0.0, beta=b.imag,
-        zeta=zeta, green=green, residual=residual,
-    )
+def _holomorphic_solutions(w, b, green, residual) -> list[GapSolution]:
+    """One holomorphic GapSolution per entry; zeta = -w/b divides as Python does."""
+    return [GapSolution(w=wk, phase=HOLOMORPHIC, b=bk, alpha=0.0, beta=bk.imag, green=gk,
+                        zeta=complex(np.inf, np.inf) if bk == 0 else -wk / bk, residual=rk)
+            for wk, bk, gk, rk in zip(w.tolist(), b.tolist(), green.tolist(), residual.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +217,9 @@ def solve_nonholomorphic(metric: Metric, w: complex, m: float = 1.0) -> GapSolut
     from every start; the caller distinguishes those by attempting the
     holomorphic phase next.
     """
-    s, beta, res, success = solve_nonholomorphic_batch(metric, np.array([w]), m)
-    if not success[0]:
-        return None
-    return _package_nonholomorphic(metric, w, s[0], beta[0], res[0], m)
+    w = np.array([w], dtype=complex)
+    s, beta, res, success = solve_nonholomorphic_batch(metric, w, m)
+    return _nonholomorphic_solutions(metric, w, s, beta, res)[0] if success[0] else None
 
 
 def solve_nonholomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0):
@@ -326,19 +333,24 @@ def _newton_batch(mu, wt, x, y, s, beta, m, iters=40):
     return s, beta, res, ok
 
 
-def _package_nonholomorphic(metric, w, s, beta, res, m):
-    x, y = float(np.real(w)), float(np.imag(w))
+def _nonholomorphic_green(metric, w, s, beta):
+    """G = conj(w) (1/N) tr B^2/E at solved points, atoms on the trailing axis."""
     mu, wt = _terms(metric)
-    e = x * x + (y + beta * mu) ** 2 + s * mu * mu
-    green = complex(np.conj(w) * (wt / e).sum())
+    x, y = w.real[:, None], w.imag[:, None]
+    e = x * x + (y + beta[:, None] * mu) ** 2 + s[:, None] * mu * mu
+    return np.conj(w) * (wt / e).sum(axis=1)
+
+
+def _nonholomorphic_solutions(metric, w, s, beta, res) -> list[GapSolution]:
+    """One non-holomorphic GapSolution per point, from the Newton output."""
+    x, y = w.real, w.imag
     denom = s + beta * beta
     xi = np.sqrt(s * (x * x + y * y) + beta * beta * x * x) / denom
-    zeta = complex(-beta * y / denom, xi)
-    return GapSolution(
-        w=complex(w), phase=NONHOLOMORPHIC, b=complex(0.0, beta),
-        alpha=float(np.sqrt(s)), beta=float(beta), zeta=zeta,
-        green=green, residual=float(res),
-    )
+    return [GapSolution(w=wk, phase=NONHOLOMORPHIC, b=complex(0.0, bk), alpha=ak,
+                        beta=bk, zeta=complex(zr, zi), green=gk, residual=rk)
+            for wk, ak, bk, zr, zi, gk, rk in zip(
+                w.tolist(), np.sqrt(s).tolist(), beta.tolist(), (-beta * y / denom).tolist(),
+                xi.tolist(), _nonholomorphic_green(metric, w, s, beta).tolist(), res.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -365,25 +377,26 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> list[GapS
 
     One ``solve_nonholomorphic_batch`` call settles the non-holomorphic
     points; the others take at most two ``solve_holomorphic_batch``
-    calls.  The first continues real-axis points along default rays and
-    every other point along ``paths_fn(w_subset) -> (L, len(w_subset))``
-    when given: blob-avoiding waypoints ending at w, from a caller that
-    knows the geometry, e.g. for signature metrics.  A point counts as
-    on the real axis when |Im w| is below the imaginary offset of the
-    side limit.  One retry then covers every point whose track collided.
-    A real-axis point is retried just off the cut on its own side (above
-    for Im w = 0), and that upper or lower side limit is returned,
-    marked in ``note``; any other point is retried on default rays.  A
-    point that collides again is returned as None.
+    calls; each phase's solutions are packed from whole arrays.  The first
+    call continues real-axis points along default rays and every other
+    point along ``paths_fn(w_subset) -> (L, len(w_subset))`` when given:
+    blob-avoiding waypoints ending at w, from a caller that knows the
+    geometry, e.g. for signature metrics.  A point counts as on the real
+    axis when |Im w| is below the imaginary offset of the side limit.
+    One retry then covers every point whose track collided.  A real-axis
+    point is retried just off the cut on its own side (above for Im w =
+    0), and that upper or lower side limit is returned, marked in
+    ``note``; any other point is retried on default rays.  A point that
+    collides again is returned as None.
     """
     w = np.asarray(w, dtype=complex).ravel()
-    out: list[GapSolution | None] = [None] * len(w)
+    out = np.full(len(w), None, dtype=object)
     s, beta, res, success = solve_nonholomorphic_batch(metric, w, m)
-    for i in np.flatnonzero(success):
-        out[i] = _package_nonholomorphic(metric, complex(w[i]), s[i], beta[i], res[i], m)
+    nh = np.flatnonzero(success)
+    out[nh] = _nonholomorphic_solutions(metric, w[nh], s[nh], beta[nh], res[nh])
     rest = np.flatnonzero(~success)
     if len(rest) == 0:
-        return out
+        return out.tolist()
     wr = w[rest]
     # Side-limit offset.  It leans mostly along the real axis so the
     # continuation ray keeps a tiny angle and stays in the
@@ -408,14 +421,12 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> list[GapS
         wh[redo] = np.where(on_axis[redo], limit[redo], wr[redo])
         b[redo], green[redo], hres[redo], collided[redo] = solve_holomorphic_batch(
             metric, wh[redo], m)
-    for k in np.flatnonzero(~collided):
-        sol = _package_holomorphic(complex(wh[k]), complex(b[k]), complex(green[k]),
-                                   float(hres[k]))
-        if wh[k] != wr[k]:
-            side = "lower" if lower[k] else "upper"
-            sol.w, sol.note = complex(wr[k]), f"real-axis cut: {side} side limit"
-        out[rest[k]] = sol
-    return out
+    good = np.flatnonzero(~collided)
+    out[rest[good]] = _holomorphic_solutions(wh[good], b[good], green[good], hres[good])
+    for k in np.flatnonzero(~collided & (wh != wr)):   # side limits, solved off the cut
+        side = "lower" if lower[k] else "upper"
+        out[rest[k]].w, out[rest[k]].note = complex(wr[k]), f"real-axis cut: {side} side limit"
+    return out.tolist()
 
 
 def _hold_start(paths: np.ndarray, rows: int) -> np.ndarray:
@@ -469,8 +480,7 @@ def rho2_numeric(metric: Metric, xs: np.ndarray, ys: np.ndarray, m: float = 1.0)
         raise GapSolveError(
             f"grid point ({bad.real}, {bad.imag}) is not interior to the non-holomorphic region"
         )
-    g = np.array([_package_nonholomorphic(metric, w[i], s[i], beta[i], res[i], m).green
-                  for i in range(len(w))]).reshape(len(xs), len(ys))
+    g = _nonholomorphic_green(metric, w, s, beta).reshape(len(xs), len(ys))
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
     gx = (g[2:, 1:-1] - g[:-2, 1:-1]) / (2.0 * hx)
@@ -479,18 +489,38 @@ def rho2_numeric(metric: Metric, xs: np.ndarray, ys: np.ndarray, m: float = 1.0)
     return xs[1:-1], ys[1:-1], rho
 
 
-def unified_check(sol: GapSolution, metric: Metric, m: float = 1.0) -> float:
-    """Residual of the unified identity w G = zeta G_B(zeta) = 1 + m^2(a^2+b^2)."""
-    if sol.phase == NONHOLOMORPHIC:
-        ab2 = -(sol.alpha2 + sol.beta**2)
-    else:
-        ab2 = complex(sol.b) ** 2
-    rhs = 1.0 + m * m * ab2
-    if not np.isfinite(sol.zeta):
-        zg = 1.0 + 0.0j   # b = 0 branch: zeta at infinity, zeta*G_B -> 1
-    else:
-        zg = sol.zeta * metric_mod.green_b(metric, sol.zeta)
-    return float(max(abs(zg - rhs), abs(sol.w * sol.green - zg)))
+def _cmul(a, b):
+    """a * b rounded as Python's complex product (numpy's fuses multiply-adds)."""
+    return np.stack((a.real * b.real - a.imag * b.imag,
+                     a.real * b.imag + a.imag * b.real), axis=-1).view(complex)[..., 0]
+
+
+def _identity_sides(sol: GapSolution, m: float):
+    """(w G, 1 + m^2 (a^2 + b^2)) over a solution's fields, rounded as scalar
+    Python rounds them: a^2 + b^2 = -(alpha^2 + beta^2), beta^2 by pow, in D."""
+    w, green, b = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in (sol.w, sol.green, sol.b))
+    ab2 = np.where(np.asarray(sol.phase) == NONHOLOMORPHIC,
+                   -(sol.alpha2 + np.float_power(sol.beta, 2)), _cmul(b, b))
+    return _cmul(w, green), 1.0 + m * m * ab2
+
+
+def structural_check(sol: GapSolution, m: float = 1.0) -> np.ndarray:
+    """|w G - (1 + m^2 (a^2 + b^2))| elementwise over ``columns`` (by hypot, as abs)."""
+    wg, rhs = _identity_sides(sol, m)
+    return np.hypot((wg - rhs).real, (wg - rhs).imag)
+
+
+def unified_check(sol: GapSolution, metric: Metric, m: float = 1.0):
+    """Residual of the unified identity w G = zeta G_B(zeta) = 1 + m^2(a^2+b^2)
+    at one solution, or elementwise over ``columns`` with one ``green_b`` call."""
+    wg, rhs = _identity_sides(sol, m)
+    zeta = np.atleast_1d(np.asarray(sol.zeta, dtype=complex))
+    zg = np.ones_like(zeta)   # b = 0 branch: zeta at infinity, zeta*G_B -> 1
+    fin = np.isfinite(zeta)
+    zg[fin] = _cmul(zeta[fin], metric_mod.green_b(metric, zeta[fin]))
+    first, second = (np.hypot(d.real, d.imag) for d in (zg - rhs, wg - zg))
+    out = np.where(second > first, second, first)   # max(first, second), as Python's
+    return float(out[0]) if np.ndim(sol.w) == 0 else out
 
 
 def island_green(curve: np.ndarray, ibeta: np.ndarray, w: complex) -> complex:

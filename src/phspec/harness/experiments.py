@@ -273,7 +273,8 @@ def run_uniformity(cfg: RunConfig) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 
 def run_gap_grid(cfg: RunConfig) -> ComparisonReport:
-    """Classify a w-grid with the gap solver; closed-form audit for signatures."""
+    """Classify a w-grid with the gap solver; closed-form audit for signatures,
+    on the solution columns.  ``timings`` has laps classify, io, audit, boundary."""
     rep = _new_report(cfg)
     m = cfg.m
     extent = cfg.grid_extent if cfg.grid_extent is not None else 1.2 / m
@@ -287,71 +288,59 @@ def run_gap_grid(cfg: RunConfig) -> ComparisonReport:
     with Stopwatch() as sw:
         paths_fn = (lambda ws: theory.continuation_paths(ws, lam, m)) if is_sig else None
         sols = gapsolve.classify_grid(cfg.metric, W, m, paths_fn=paths_fn)
-        unresolved = sum(1 for s in sols if s is None)
+        sw.lap("classify")
+        solved = [s for s in sols if s is not None]
+        unresolved = len(W) - len(solved)
         rep.add_check("unresolved_fraction",
                       unresolved / len(W) <= THRESHOLDS["unresolved_fraction"],
                       unresolved / len(W))
-        io.write_gap_grid_csv(_out(cfg, "gap_grid.csv"), [s for s in sols if s is not None])
+        io.write_gap_grid_csv(_out(cfg, "gap_grid.csv"), solved)
+        sw.lap("io")
 
-        res_max = max(s.residual for s in sols if s is not None)
+        cols = gapsolve.columns(solved)
+        res_max = max(cols.residual.tolist())
         rep.add_check("solver_residual", res_max <= THRESHOLDS["solver_residual"], res_max)
-
-        # structural identities at every solved point, unified form sampled
-        worst_structural = 0.0
-        worst_unified = 0.0
-        for idx, s in enumerate(sols):
-            if s is None or s.note:
-                continue
-            if s.phase == gapsolve.NONHOLOMORPHIC:
-                lhs = s.w * s.green - (1.0 - m * m * (s.alpha2 + s.beta**2))
-            else:
-                lhs = s.w * s.green - (1.0 + m * m * s.b**2)
-            worst_structural = max(worst_structural, abs(lhs))
-            if idx % 7 == 0:
-                worst_unified = max(worst_unified,
-                                    gapsolve.unified_check(s, cfg.metric, m))
+        # identities where a point was solved where it stands; maxima from 0 skip nan
+        plain = cols.note == ""
+        sample = cols.take(plain & (np.flatnonzero([s is not None for s in sols]) % 7 == 0))
+        worst_structural = max([0.0, *gapsolve.structural_check(cols, m)[plain].tolist()])
+        worst_unified = max([0.0, *gapsolve.unified_check(sample, cfg.metric, m).tolist()])
         rep.add_check("structural_identity",
-                      worst_structural <= THRESHOLDS["structural_identity"],
-                      worst_structural)
+                      worst_structural <= THRESHOLDS["structural_identity"], worst_structural)
         rep.add_check("unified_invariant",
-                      worst_unified <= THRESHOLDS["structural_identity"],
-                      worst_unified)
+                      worst_unified <= THRESHOLDS["structural_identity"], worst_unified)
 
         if is_sig:
-            cell_diag = np.sqrt(2.0) * (xs[1] - xs[0])
             curve = theory.boundary_curve(lam, m, num=2001)
             curve_full = np.concatenate([curve, np.conj(curve)]) if len(curve) else curve
-            worst_a2 = 0.0
-            misclass_far = 0
-            for wpt, s in zip(W, sols):
-                if s is None:
-                    continue
-                inside = bool(theory.in_blobs(wpt, lam, m)) if wpt.imag != 0 else False
-                if (s.phase == gapsolve.NONHOLOMORPHIC) != inside:
-                    d = (np.min(np.abs(curve_full - wpt)) if len(curve_full) else np.inf)
-                    if d > cell_diag:
-                        misclass_far += 1
-                if inside:
-                    a2c, _ = theory.alpha_sq(wpt, lam, m)
-                    if a2c > 1e-3 / (m * m):   # interior, away from the boundary
-                        worst_a2 = max(worst_a2, abs(s.alpha2 - a2c))
+            inside = (cols.w.imag != 0) & theory.in_blobs(cols.w, lam, m)
+            disagree = cols.w[(cols.phase == gapsolve.NONHOLOMORPHIC) != inside].tolist()
+            dist = [np.min(np.abs(curve_full - p)) if len(curve_full) else np.inf for p in disagree]
+            misclass_far = sum(1 for d in dist if d > np.sqrt(2.0) * (xs[1] - xs[0]))
+            a2c = theory.alpha_sq(cols.w[inside], lam, m)[0]
+            deep = a2c > 1e-3 / (m * m)   # interior, away from the boundary
+            worst_a2 = max([0.0, *np.abs(cols.alpha2[inside][deep] - a2c[deep]).tolist()])
             rep.add_check("alpha2_vs_closed_form",
                           worst_a2 <= THRESHOLDS["gap_alpha2_abs"], worst_a2)
             rep.add_check("classification_boundary_band", misclass_far == 0, misclass_far)
+        del cols   # the full-grid columns do not outlive the audit
+        sw.lap("audit")
 
+        if is_sig and 0.0 < lam < 1.0:
             worst_bd = 0.0
-            if 0.0 < lam < 1.0:
-                for th in (np.pi / 2, np.pi / 3, 2 * np.pi / 3):
-                    radii = theory.boundary_radii(th, lam, m)
-                    if radii is None:
-                        continue
-                    found = gapsolve.phase_boundary(cfg.metric, [th], m, tol=1e-9)[0][1]
-                    for r_closed in radii:
-                        worst_bd = max(worst_bd,
-                                       min(abs(r_closed - r) for r in found)
-                                       if found else np.inf)
-                rep.add_check("boundary_bisection",
-                              worst_bd <= THRESHOLDS["boundary_abs"], worst_bd)
+            for th in (np.pi / 2, np.pi / 3, 2 * np.pi / 3):
+                radii = theory.boundary_radii(th, lam, m)
+                if radii is None:
+                    continue
+                found = gapsolve.phase_boundary(cfg.metric, [th], m, tol=1e-9)[0][1]
+                for r_closed in radii:
+                    worst_bd = max(worst_bd,
+                                   min(abs(r_closed - r) for r in found)
+                                   if found else np.inf)
+            rep.add_check("boundary_bisection",
+                          worst_bd <= THRESHOLDS["boundary_abs"], worst_bd)
+        sw.lap("boundary")
+    rep.timings = sw.laps
     rep.runtime_seconds = sw.seconds
     rep.write(_out(cfg, "report.json"))
     return rep

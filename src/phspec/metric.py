@@ -247,7 +247,7 @@ def green_b(metric: Metric, w) -> complex | np.ndarray:
         vals, wts = atoms(metric)
         if np.any(np.isin(w, vals.astype(complex))):
             raise OnSupportError("w coincides with a metric eigenvalue")
-        out = (wts[:, None] / (w[None, :] - vals[:, None])).sum(axis=0)
+        out = (wts / (w[:, None] - vals)).sum(axis=1)   # each point's sum in 1-point order
     else:
         if np.any((w.imag == 0) & (density(metric, w.real) > 0)):
             raise OnSupportError("w lies on the continuum support")

@@ -158,38 +158,30 @@ def boundary_radii(theta: float, lam: float, m: float = 1.0):
     return float(r_minus), float(r_plus)
 
 
-def alpha_sq(w: complex, lam: float, m: float = 1.0) -> tuple[float, float]:
-    """Order parameter alpha^2 and the auxiliary beta at a point w.
+def alpha_sq(w, lam: float, m: float = 1.0):
+    """Order parameter alpha^2 and the auxiliary beta at w, a point or an array.
 
     alpha^2 > 0 exactly when w lies inside a blob; beta is the
     imaginary part of b there.  Undefined on the real axis unless
     lam = 1/2 (beta has a simple pole in y).
     """
     _check(lam, m)
-    x, y = float(np.real(w)), float(np.imag(w))
-    if y == 0.0:
-        if lam != 0.5:
-            raise ValueError("alpha_sq is undefined at Im w = 0 for lam != 1/2")
-        beta = 0.0
-    else:
-        beta = (2.0 * lam - 1.0) / (2.0 * m * m * y)
+    w = np.asarray(w, dtype=complex)
+    x, y = w.real, w.imag
+    if lam != 0.5 and np.any(y == 0.0):
+        raise ValueError("alpha_sq is undefined at Im w = 0 for lam != 1/2")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.where(y == 0.0, 0.0, (2.0 * lam - 1.0) / (2.0 * m * m * y))
     a2 = 1.0 / (m * m) - (x * x + y * y + beta * beta)
-    return a2, beta
+    return (float(a2), float(beta)) if w.ndim == 0 else (a2, beta)
 
 
 def in_blobs(w, lam: float, m: float = 1.0):
-    """Whether w lies strictly inside the complex-eigenvalue region."""
+    """Whether w lies strictly inside the blobs: alpha^2 > 0, off the axis unless lam = 1/2."""
     w = np.asarray(w, dtype=complex)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    x, y = w.real, w.imag
-    with np.errstate(divide="ignore"):
-        beta = np.where(y != 0.0, (2.0 * lam - 1.0) / (2.0 * m * m * np.where(y != 0, y, 1.0)), np.inf)
-    if lam == 0.5:
-        beta = np.zeros_like(x)
-    a2 = 1.0 / (m * m) - (x * x + y * y + beta * beta)
-    res = a2 > 0.0
-    return bool(res[0]) if scalar else res
+    off = (w.imag != 0.0) | (lam == 0.5)
+    res = np.where(off, alpha_sq(np.where(off, w, 1j), lam, m)[0] > 0.0, False)
+    return bool(res) if w.ndim == 0 else res
 
 
 def blob_area_and_nu(lam: float, m: float = 1.0) -> tuple[float, float]:

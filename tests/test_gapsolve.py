@@ -365,6 +365,84 @@ def test_holomorphic_identities_hold_for_any_metric(metric, m, radii, angle):
     assert abs(far * g[-1] - 1.0) <= 1e-5
 
 
+def _plain_track(mu, c, m, paths, b0):
+    """``_roots.track`` with its step written plainly: the current waypoint
+    re-interpolated, c/mu and the squared pole terms re-formed on every
+    iteration.  The fused tracker must return the same bits."""
+    mu, c = np.asarray(mu, dtype=float), np.asarray(c, dtype=float)
+    paths = np.asarray(paths, dtype=complex)
+    last, n = paths.shape[0] - 1, paths.shape[1]
+    c_abs, m2 = np.abs(c).sum(), m * m
+
+    def terms(w, b):
+        q = 1.0 / (b[:, None] + w[:, None] / mu)
+        return q, m2 * b + q @ c, m2 - (q * q) @ c
+
+    def gamma(q, fb):
+        delta = 1.0 / np.max(np.abs(q), axis=1)
+        return np.maximum(c_abs / (np.abs(fb) * delta**3), 1.0 / delta)
+
+    def newton(w, b):
+        for _ in range(_roots.NEWTON_STEPS):
+            _, f, fb = terms(w, b)
+            b = b - f / fb
+        return b
+
+    def waypoint(t, idx):
+        j = np.minimum(t.astype(int), last - 1)
+        return paths[j, idx] + (t - j) * (paths[j + 1, idx] - paths[j, idx])
+
+    t, h, collided = np.zeros(n), np.ones(n), np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        b = newton(paths[0], np.asarray(b0, dtype=complex))
+        while True:
+            idx = np.flatnonzero((t < last) & ~collided)
+            if len(idx) == 0:
+                break
+            w_cur, b_cur = waypoint(t[idx], idx), b[idx]
+            q, _, fb = terms(w_cur, b_cur)
+            slope = ((q * q) @ (c / mu)) / fb
+            t_new = np.minimum(t[idx] + h[idx], last)
+            w_new = waypoint(t_new, idx)
+            b_pred = b_cur + slope * (w_new - w_cur)
+            qp, fp, fbp = terms(w_new, b_pred)
+            beta = np.abs(fp / fbp)
+            ok = ((beta * gamma(qp, fbp) < _roots.ALPHA_MAX)
+                  & (np.abs(b_pred - b_cur) + 2.0 * beta < 0.5 * _roots.U0 / gamma(q, fb)))
+            acc, rej = idx[ok], idx[~ok]
+            b[acc] = newton(w_new[ok], b_pred[ok])
+            t[acc] = t_new[ok]
+            h[acc] = np.minimum(2.0 * h[acc], _roots.MAX_STEP)
+            h[rej] /= 2.0
+            collided[rej[h[rej] < _roots.MIN_STEP]] = True
+        b = newton(paths[-1], b)
+    return b, collided
+
+
+@settings(max_examples=12, deadline=None)
+@given(count=st.integers(2, 64), seed=st.integers(0, 2**32 - 1),
+       m=st.sampled_from([0.5, 1.0, 2.0]), stride=st.sampled_from([1, 8, 32, 128]),
+       points=st.integers(1, 6))
+def test_fused_tracker_matches_plain_step_bit_for_bit(count, seed, m, stride, points):
+    """Over 2-64 signed atoms, on default rays thinned to every stride-th
+    waypoint (stride 128 leaves one chord), ``track`` returns the bits of
+    the plain step loop, collided points included: every third target
+    lies on the real axis, where tracks into the band collide."""
+    metric = _atomic_metric(count, seed)
+    mu, c = G._terms(metric)
+    rng = np.random.default_rng(seed)
+    scale = 1.5 * M.support_radius(metric) / m
+    w = scale * (rng.uniform(-1, 1, points)
+                 + 1j * rng.uniform(-1, 1, points) * (np.arange(points) % 3 > 0))
+    full = G._default_paths(w, metric, m)
+    paths = np.concatenate([full[:-1:stride], full[-1:]])
+    b0 = -(mu * c).sum() / (m * m * paths[0])
+    b, coll = _roots.track(mu, c, m, paths, b0)
+    b_ref, coll_ref = _plain_track(mu, c, m, paths, b0)
+    assert np.array_equal(coll, coll_ref)
+    assert b.tobytes() == b_ref.tobytes()
+
+
 class TestTracker:
     def test_128_atoms_solve_in_milliseconds(self):
         metric = M.ExplicitDiagonal(list(_signed_atoms(128)))
@@ -400,6 +478,36 @@ class TestTracker:
         paths = np.concatenate([approach, arc[1:]])
         b, coll = _roots.track(np.array([1.0]), np.array([1.0]), 1.0, paths, -1.0 / paths[0])
         assert np.all(coll | (np.abs(b - _oracle_track(paths, 1.0)) <= 1e-8))
+
+
+def test_identity_checks_round_as_scalar_python():
+    """``structural_check`` and ``unified_check`` over columns give, point by
+    point, the bits of the scalar formulas, on betas where pow(beta, 2) and
+    beta * beta round apart and on products where a fused multiply-add would."""
+    rng = np.random.default_rng(5)
+    xs = 4.0 * rng.normal(size=20000)
+    betas = [x for x in xs.tolist() if x**2 != x * x][:8] + xs[:8].tolist()
+    sols = []
+    for k, beta in enumerate(betas):
+        w = complex(*rng.normal(size=2))
+        if k % 2:
+            b = complex(*rng.normal(size=2))
+            sols.append(G.GapSolution(w, G.HOLOMORPHIC, b, 0.0, b.imag, -w / b,
+                                      complex(*rng.normal(size=2)), 0.0))
+        else:
+            sols.append(G.GapSolution(w, G.NONHOLOMORPHIC, complex(0.0, beta), abs(xs[-k]) / 100,
+                                      beta, complex(*rng.normal(size=2)),
+                                      complex(*rng.normal(size=2)), 0.0))
+    m = 1.3
+    structural, unified = [], []
+    for s in sols:
+        ab2 = -(s.alpha2 + s.beta**2) if s.phase == G.NONHOLOMORPHIC else complex(s.b) ** 2
+        zg = s.zeta * M.green_b(SIG_QUARTER, s.zeta)
+        structural.append(abs(s.w * s.green - (1.0 + m * m * ab2)))
+        unified.append(max(abs(zg - (1.0 + m * m * ab2)), abs(s.w * s.green - zg)))
+    cols = G.columns(sols)
+    assert G.structural_check(cols, m).tolist() == structural
+    assert G.unified_check(cols, SIG_QUARTER, m).tolist() == unified
 
 
 class TestDensityAndIdentities:

@@ -7,11 +7,17 @@ import pytest
 
 from phspec import _blas, cli, spectral
 from phspec import ensemble as E
+from phspec import gapsolve as G
 from phspec import metric as M
+from phspec import theory as T
 from phspec.harness import config as C
 from phspec.harness import experiments as X
 from phspec.harness import io
 from phspec.harness.sampling import map_spectra
+from phspec.harness.thresholds import THRESHOLDS
+
+SIGNED_ATOMS_12 = [(-1.0 if j % 4 == 0 else 1.0) * v
+                   for j, v in enumerate(np.linspace(0.5, 1.5, 12).tolist())]
 
 
 def make_cfg(tmp_path, **kw):
@@ -23,6 +29,65 @@ def make_cfg(tmp_path, **kw):
     }
     base.update(kw)
     return C.from_dict(base)
+
+
+def _scalar_unified(sol, metric, m):
+    """Residual of the unified identity at one solution, in scalar arithmetic."""
+    if sol.phase == G.NONHOLOMORPHIC:
+        ab2 = -(sol.alpha2 + sol.beta**2)
+    else:
+        ab2 = complex(sol.b) ** 2
+    rhs = 1.0 + m * m * ab2
+    if not np.isfinite(sol.zeta):
+        zg = 1.0 + 0.0j
+    else:
+        zg = sol.zeta * M.green_b(metric, sol.zeta)
+    return float(max(abs(zg - rhs), abs(sol.w * sol.green - zg)))
+
+
+def _scalar_audit(metric, m, w, sols, step):
+    """The checks of ``run_gap_grid``'s audit as a loop over the grid points
+    in scalar arithmetic: name -> (passed, value)."""
+    out = {}
+    res_max = max(s.residual for s in sols if s is not None)
+    out["solver_residual"] = (res_max <= THRESHOLDS["solver_residual"], res_max)
+    worst_structural = 0.0
+    worst_unified = 0.0
+    for idx, s in enumerate(sols):
+        if s is None or s.note:
+            continue
+        if s.phase == G.NONHOLOMORPHIC:
+            lhs = s.w * s.green - (1.0 - m * m * (s.alpha2 + s.beta**2))
+        else:
+            lhs = s.w * s.green - (1.0 + m * m * s.b**2)
+        worst_structural = max(worst_structural, abs(lhs))
+        if idx % 7 == 0:
+            worst_unified = max(worst_unified, _scalar_unified(s, metric, m))
+    tol = THRESHOLDS["structural_identity"]
+    out["structural_identity"] = (worst_structural <= tol, worst_structural)
+    out["unified_invariant"] = (worst_unified <= tol, worst_unified)
+    if isinstance(metric, M.Signature):
+        lam = metric.lam
+        cell_diag = np.sqrt(2.0) * step
+        curve = T.boundary_curve(lam, m, num=2001)
+        curve_full = np.concatenate([curve, np.conj(curve)]) if len(curve) else curve
+        worst_a2 = 0.0
+        misclass_far = 0
+        for wpt, s in zip(w, sols):
+            if s is None:
+                continue
+            inside = bool(T.in_blobs(wpt, lam, m)) if wpt.imag != 0 else False
+            if (s.phase == G.NONHOLOMORPHIC) != inside:
+                d = (np.min(np.abs(curve_full - wpt)) if len(curve_full) else np.inf)
+                if d > cell_diag:
+                    misclass_far += 1
+            if inside:
+                a2c, _ = T.alpha_sq(wpt, lam, m)
+                if a2c > 1e-3 / (m * m):
+                    worst_a2 = max(worst_a2, abs(s.alpha2 - a2c))
+        out["alpha2_vs_closed_form"] = (worst_a2 <= THRESHOLDS["gap_alpha2_abs"], worst_a2)
+        out["classification_boundary_band"] = (misclass_far == 0, misclass_far)
+    return out
 
 
 @contextlib.contextmanager
@@ -197,6 +262,40 @@ class TestExperiments:
         cfg = make_cfg(tmp_path, experiment="gap_grid", grid_points=21)
         rep = X.run_gap_grid(cfg)
         assert rep.passed, rep.checks
+
+    @pytest.mark.parametrize("metric,n,points", [
+        ({"type": "signature", "k": 8, "n": 32}, 32, 21),
+        ({"type": "diagonal", "values": SIGNED_ATOMS_12}, 12, 12),
+    ])
+    def test_gap_grid_laps_cover_the_run(self, tmp_path, metric, n, points):
+        cfg = make_cfg(tmp_path, experiment="gap_grid", metric=metric, n=n, grid_points=points)
+        rep = X.run_gap_grid(cfg)
+        assert set(rep.timings) == {"classify", "io", "audit", "boundary"}
+        assert abs(sum(rep.timings.values()) - rep.runtime_seconds) <= 0.05 * rep.runtime_seconds
+
+    @pytest.mark.parametrize("metric,n,points", [
+        ({"type": "signature", "k": 16, "n": 64}, 64, 21),
+        ({"type": "diagonal", "values": SIGNED_ATOMS_12}, 12, 12),
+        ({"type": "flat", "mu1": 1.0, "lminus": 0.5, "mu2": 1.5, "lplus": 1.0}, 64, 15),
+    ])
+    def test_gap_grid_audit_matches_scalar_loop(self, tmp_path, monkeypatch, metric, n, points):
+        grids = []
+        classify = G.classify_grid
+
+        def recorded(metric, w, m, paths_fn=None):
+            grids.append((w, classify(metric, w, m, paths_fn=paths_fn)))
+            return grids[-1][1]
+
+        monkeypatch.setattr(G, "classify_grid", recorded)
+        cfg = make_cfg(tmp_path, experiment="gap_grid", metric=metric, n=n, grid_points=points)
+        rep = X.run_gap_grid(cfg)
+        (w, sols), = grids
+        xs = np.linspace(-1.2, 1.2, points)
+        expected = _scalar_audit(cfg.metric, 1.0, w, sols, xs[1] - xs[0])
+        assert len(expected) == (5 if isinstance(cfg.metric, M.Signature) else 3)
+        for name, (ok, value) in expected.items():
+            assert rep.checks[name] == ok, name
+            assert repr(rep.metrics[name]) == repr(value), name   # type and bits
 
     def test_semicircle_small(self, tmp_path):
         cfg = make_cfg(tmp_path, experiment="semicircle",
