@@ -13,10 +13,15 @@ from the waypoint value it carries.  A step is an Euler predictor
 followed by three Newton corrections, accepted only when Smale's alpha
 theory certifies it (Blum, Cucker, Shub and Smale, Complexity and Real
 Computation, 1998, ch. 8; Beltran and Leykin, Exp. Math. 2012).  With
-C = sum_j |c_j| and delta = min_j |b + w/mu_j| every higher derivative
-of f is bounded in closed form, which gives
+q_j = 1/(b + w/mu_j), delta = 1/max_j |q_j| and S2 = sum_j |c_j| |q_j|^2,
+every derivative of order k >= 2 is f^(k)/k! = (-1)^k sum_j c_j q_j^(k+1),
+so |f^(k) / (k! f')|^(1/(k-1)) <= (S2/|f'|)^(1/(k-1)) / delta.  Over k
+the largest of these sits at k = 2 or k -> infinity, which gives
 
-    gamma <= max(C / (|f'| delta^3), 1/delta),    beta = |f / f'|.
+    gamma <= max(S2 / |f'|, 1) / delta,    beta = |f / f'|.
+
+As S2 <= sum_j |c_j| / delta^2 this is never looser than treating every
+pole as the nearest one, and equal to it for a single pole.
 
 A step is accepted when the predictor is an approximate zero, alpha =
 beta gamma < ALPHA_MAX, and when the root it converges to lies inside
@@ -36,6 +41,13 @@ U0 = (5.0 - np.sqrt(17.0)) / 4.0   # uniqueness-radius constant
 MAX_STEP = 16.0                    # waypoints
 MIN_STEP = 2.0**-40                # of a segment
 NEWTON_STEPS = 3
+
+
+def gamma_bound(q, fb, c):
+    """Bound on Smale's gamma per row of pole terms q = 1/(b + w/mu), shape
+    (n, d), with f' = ``fb`` and pole weights ``c``."""
+    q_abs = np.abs(q)
+    return np.max(q_abs, axis=1) * np.maximum((q_abs * q_abs) @ np.abs(c) / np.abs(fb), 1.0)
 
 
 def track(mu, c, m: float, paths: np.ndarray, b0: np.ndarray):
@@ -65,7 +77,6 @@ def track(mu, c, m: float, paths: np.ndarray, b0: np.ndarray):
     paths = np.asarray(paths, dtype=complex)
     last = paths.shape[0] - 1
     n = paths.shape[1]
-    c_abs = np.abs(c).sum()
     c_mu = c / mu
     m2 = m * m
 
@@ -73,10 +84,6 @@ def track(mu, c, m: float, paths: np.ndarray, b0: np.ndarray):
         q = 1.0 / (b[:, None] + w[:, None] / mu)
         q2 = q * q
         return q, q2, m2 * b + q @ c, m2 - q2 @ c
-
-    def gamma(q, fb):
-        delta = 1.0 / np.max(np.abs(q), axis=1)
-        return np.maximum(c_abs / (np.abs(fb) * delta**3), 1.0 / delta)
 
     def newton(w, b):
         for _ in range(NEWTON_STEPS):
@@ -106,8 +113,8 @@ def track(mu, c, m: float, paths: np.ndarray, b0: np.ndarray):
             b_pred = b_cur + slope * (w_new - w_cur)
             qp, _, fp, fbp = terms(w_new, b_pred)
             beta = np.abs(fp / fbp)
-            ok = ((beta * gamma(qp, fbp) < ALPHA_MAX)
-                  & (np.abs(b_pred - b_cur) + 2.0 * beta < 0.5 * U0 / gamma(q, fb)))
+            ok = ((beta * gamma_bound(qp, fbp, c) < ALPHA_MAX)
+                  & (np.abs(b_pred - b_cur) + 2.0 * beta < 0.5 * U0 / gamma_bound(q, fb, c)))
             acc, rej = idx[ok], idx[~ok]
             b[acc] = newton(w_new[ok], b_pred[ok])
             w_at[acc] = w_new[ok]

@@ -519,7 +519,7 @@ def unified_check(sol: GapSolution, metric: Metric, m: float = 1.0):
     fin = np.isfinite(zeta)
     zg[fin] = _cmul(zeta[fin], metric_mod.green_b(metric, zeta[fin]))
     first, second = (np.hypot(d.real, d.imag) for d in (zg - rhs, wg - zg))
-    out = np.where(second > first, second, first)   # max(first, second), as Python's
+    out = np.maximum(first, second)   # exact, and nan where either is nan
     return float(out[0]) if np.ndim(sol.w) == 0 else out
 
 

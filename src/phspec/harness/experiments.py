@@ -272,6 +272,43 @@ def run_uniformity(cfg: RunConfig) -> ComparisonReport:
 # gap-equation grid
 # ---------------------------------------------------------------------------
 
+def _worst(values: np.ndarray) -> float:
+    """Largest of 0 and ``values``; nan when any of them is nan."""
+    return float(np.max(values, initial=0.0))
+
+
+def _audit_gap_grid(rep: ComparisonReport, cfg: RunConfig, sols, solved, spacing: float):
+    """Audit the solved points of a gap grid: solver residual, the structural
+    and unified identities and, for signatures, the closed forms."""
+    m = cfg.m
+    cols = gapsolve.columns(solved)
+    res_max = _worst(cols.residual)
+    rep.add_check("solver_residual", res_max <= THRESHOLDS["solver_residual"], res_max)
+    # identities where a point was solved where it stands
+    plain = cols.note == ""
+    sample = cols.take(plain & (np.flatnonzero([s is not None for s in sols]) % 7 == 0))
+    worst_structural = _worst(gapsolve.structural_check(cols, m)[plain])
+    worst_unified = _worst(gapsolve.unified_check(sample, cfg.metric, m))
+    rep.add_check("structural_identity",
+                  worst_structural <= THRESHOLDS["structural_identity"], worst_structural)
+    rep.add_check("unified_invariant",
+                  worst_unified <= THRESHOLDS["structural_identity"], worst_unified)
+    if isinstance(cfg.metric, Signature):
+        lam = cfg.metric.lam
+        curve = theory.boundary_curve(lam, m, num=2001)
+        curve_full = np.concatenate([curve, np.conj(curve)]) if len(curve) else curve
+        inside = (cols.w.imag != 0) & theory.in_blobs(cols.w, lam, m)
+        disagree = cols.w[(cols.phase == gapsolve.NONHOLOMORPHIC) != inside].tolist()
+        dist = [np.min(np.abs(curve_full - p)) if len(curve_full) else np.inf for p in disagree]
+        misclass_far = sum(1 for d in dist if d > np.sqrt(2.0) * spacing)
+        a2c = theory.alpha_sq(cols.w[inside], lam, m)[0]
+        deep = a2c > 1e-3 / (m * m)   # interior, away from the boundary
+        worst_a2 = _worst(np.abs(cols.alpha2[inside][deep] - a2c[deep]))
+        rep.add_check("alpha2_vs_closed_form",
+                      worst_a2 <= THRESHOLDS["gap_alpha2_abs"], worst_a2)
+        rep.add_check("classification_boundary_band", misclass_far == 0, misclass_far)
+
+
 def run_gap_grid(cfg: RunConfig) -> ComparisonReport:
     """Classify a w-grid with the gap solver; closed-form audit for signatures,
     on the solution columns.  ``timings`` has laps classify, io, audit, boundary."""
@@ -297,33 +334,8 @@ def run_gap_grid(cfg: RunConfig) -> ComparisonReport:
         io.write_gap_grid_csv(_out(cfg, "gap_grid.csv"), solved)
         sw.lap("io")
 
-        cols = gapsolve.columns(solved)
-        res_max = max(cols.residual.tolist())
-        rep.add_check("solver_residual", res_max <= THRESHOLDS["solver_residual"], res_max)
-        # identities where a point was solved where it stands; maxima from 0 skip nan
-        plain = cols.note == ""
-        sample = cols.take(plain & (np.flatnonzero([s is not None for s in sols]) % 7 == 0))
-        worst_structural = max([0.0, *gapsolve.structural_check(cols, m)[plain].tolist()])
-        worst_unified = max([0.0, *gapsolve.unified_check(sample, cfg.metric, m).tolist()])
-        rep.add_check("structural_identity",
-                      worst_structural <= THRESHOLDS["structural_identity"], worst_structural)
-        rep.add_check("unified_invariant",
-                      worst_unified <= THRESHOLDS["structural_identity"], worst_unified)
-
-        if is_sig:
-            curve = theory.boundary_curve(lam, m, num=2001)
-            curve_full = np.concatenate([curve, np.conj(curve)]) if len(curve) else curve
-            inside = (cols.w.imag != 0) & theory.in_blobs(cols.w, lam, m)
-            disagree = cols.w[(cols.phase == gapsolve.NONHOLOMORPHIC) != inside].tolist()
-            dist = [np.min(np.abs(curve_full - p)) if len(curve_full) else np.inf for p in disagree]
-            misclass_far = sum(1 for d in dist if d > np.sqrt(2.0) * (xs[1] - xs[0]))
-            a2c = theory.alpha_sq(cols.w[inside], lam, m)[0]
-            deep = a2c > 1e-3 / (m * m)   # interior, away from the boundary
-            worst_a2 = max([0.0, *np.abs(cols.alpha2[inside][deep] - a2c[deep]).tolist()])
-            rep.add_check("alpha2_vs_closed_form",
-                          worst_a2 <= THRESHOLDS["gap_alpha2_abs"], worst_a2)
-            rep.add_check("classification_boundary_band", misclass_far == 0, misclass_far)
-        del cols   # the full-grid columns do not outlive the audit
+        if solved:
+            _audit_gap_grid(rep, cfg, sols, solved, xs[1] - xs[0])
         sw.lap("audit")
 
         if is_sig and 0.0 < lam < 1.0:

@@ -365,22 +365,33 @@ def test_holomorphic_identities_hold_for_any_metric(metric, m, radii, angle):
     assert abs(far * g[-1] - 1.0) <= 1e-5
 
 
-def _plain_track(mu, c, m, paths, b0):
+def _gamma_nearest(q, fb, c):
+    """Smale's gamma bound with every pole at the nearest one's distance
+    delta: max(sum |c| / (|f'| delta^3), 1/delta)."""
+    delta = 1.0 / np.max(np.abs(q), axis=1)
+    return np.maximum(np.abs(c).sum() / (np.abs(fb) * delta**3), 1.0 / delta)
+
+
+def _gamma_second_moment(q, fb, c):
+    """Smale's gamma bound from the second moment S2 = sum |c| |q|^2 of the
+    pole terms: max(S2 / |f'|, 1) / delta."""
+    s2 = (np.abs(q) ** 2) @ np.abs(c)
+    return np.max(np.abs(q), axis=1) * np.maximum(s2 / np.abs(fb), 1.0)
+
+
+def _plain_track(mu, c, m, paths, b0, gamma):
     """``_roots.track`` with its step written plainly: the current waypoint
     re-interpolated, c/mu and the squared pole terms re-formed on every
-    iteration.  The fused tracker must return the same bits."""
+    iteration, and Smale's gamma bounded by ``gamma(q, f', c)``.  With the
+    tracker's bound the fused tracker must return the same bits."""
     mu, c = np.asarray(mu, dtype=float), np.asarray(c, dtype=float)
     paths = np.asarray(paths, dtype=complex)
     last, n = paths.shape[0] - 1, paths.shape[1]
-    c_abs, m2 = np.abs(c).sum(), m * m
+    m2 = m * m
 
     def terms(w, b):
         q = 1.0 / (b[:, None] + w[:, None] / mu)
         return q, m2 * b + q @ c, m2 - (q * q) @ c
-
-    def gamma(q, fb):
-        delta = 1.0 / np.max(np.abs(q), axis=1)
-        return np.maximum(c_abs / (np.abs(fb) * delta**3), 1.0 / delta)
 
     def newton(w, b):
         for _ in range(_roots.NEWTON_STEPS):
@@ -407,8 +418,8 @@ def _plain_track(mu, c, m, paths, b0):
             b_pred = b_cur + slope * (w_new - w_cur)
             qp, fp, fbp = terms(w_new, b_pred)
             beta = np.abs(fp / fbp)
-            ok = ((beta * gamma(qp, fbp) < _roots.ALPHA_MAX)
-                  & (np.abs(b_pred - b_cur) + 2.0 * beta < 0.5 * _roots.U0 / gamma(q, fb)))
+            ok = ((beta * gamma(qp, fbp, c) < _roots.ALPHA_MAX)
+                  & (np.abs(b_pred - b_cur) + 2.0 * beta < 0.5 * _roots.U0 / gamma(q, fb, c)))
             acc, rej = idx[ok], idx[~ok]
             b[acc] = newton(w_new[ok], b_pred[ok])
             t[acc] = t_new[ok]
@@ -438,9 +449,77 @@ def test_fused_tracker_matches_plain_step_bit_for_bit(count, seed, m, stride, po
     paths = np.concatenate([full[:-1:stride], full[-1:]])
     b0 = -(mu * c).sum() / (m * m * paths[0])
     b, coll = _roots.track(mu, c, m, paths, b0)
-    b_ref, coll_ref = _plain_track(mu, c, m, paths, b0)
+    b_ref, coll_ref = _plain_track(mu, c, m, paths, b0, _gamma_second_moment)
     assert np.array_equal(coll, coll_ref)
     assert b.tobytes() == b_ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       m=st.sampled_from([0.5, 1.0, 2.0]), near_pole=st.booleans())
+def test_gamma_bound_is_sound_and_never_looser(count, seed, m, near_pole):
+    """Against the true gamma = max_k |f^(k) / (k! f')|^(1/(k-1)), k = 2..80,
+    from f^(k)/k! = (-1)^k sum_j c_j q_j^(k+1): the tracker's bound holds,
+    never exceeds the nearest-pole bound and equals it for one pole.  Poles
+    in +-[0.3, 2] with signed weights; b anywhere or within 1e-3 of a pole."""
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(0.3, 2.0, count) * rng.choice([-1.0, 1.0], count)
+    c = rng.uniform(0.1, 1.0, count) * rng.choice([-1.0, 1.0], count)
+    w = complex(*rng.uniform(-2.0, 2.0, 2))
+    if near_pole:
+        b = -w / rng.choice(mu) + 10.0 ** rng.uniform(-6, -3) * np.exp(2j * np.pi * rng.random())
+    else:
+        b = complex(*rng.uniform(-2.0, 2.0, 2))
+    q = 1.0 / (b + w / mu)
+    fb = m * m - (q * q) @ c
+    # |sum_j c_j q_j^(k+1)| = s^(k+1) |sum_j c_j (q_j/s)^(k+1)| with s = max |q|
+    s, k = np.max(np.abs(q)), np.arange(2, 81)
+    moments = np.abs(((q / s)[None, :] ** (k[:, None] + 1)) @ c)
+    with np.errstate(divide="ignore"):
+        log_ratio = (k + 1) * np.log(s) + np.log(moments) - np.log(abs(fb))
+    true_gamma = np.max(np.exp(log_ratio / (k - 1)))
+    bound = _roots.gamma_bound(q[None, :], np.array([fb]), c)[0]
+    nearest = _gamma_nearest(q[None, :], np.array([fb]), c)[0]
+    assert true_gamma <= bound * (1.0 + 1e-12)
+    assert bound <= nearest * (1.0 + 1e-12)
+    if count == 1:
+        assert bound == pytest.approx(nearest, rel=1e-12)
+
+
+def _tracker_calls(monkeypatch, metric, points, paths_fn=None):
+    """Every ``_roots.track`` call of ``classify_grid`` on a points^2 grid of
+    [-1.2, 1.2]^2, with its arguments and results."""
+    calls, track = [], _roots.track
+
+    def recorded(*args):
+        b, coll = track(*args)
+        calls.append((args, (b.copy(), coll.copy())))   # the caller may update its copy
+        return b, coll
+
+    monkeypatch.setattr(_roots, "track", recorded)
+    xs = np.linspace(-1.2, 1.2, points)
+    G.classify_grid(metric, (xs[:, None] + 1j * xs[None, :]).ravel(), 1.0, paths_fn=paths_fn)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("metric,points,paths_fn", [
+    (M.ExplicitDiagonal([_signed_atoms(12)[i % 12] for i in range(48)]), 20, None),
+    (M.ExplicitDiagonal(list(_signed_atoms(33))), 31, None),
+    (M.ExplicitDiagonal(list(_signed_atoms(128))), 20, None),
+    (M.Signature(k=64, n=256), 41, lambda w: T.continuation_paths(w, 0.25, 1.0)),
+], ids=["atoms12", "signed33", "atoms128", "signature"])
+def test_tracker_keeps_the_branches_of_the_nearest_pole_bound(monkeypatch, metric, points,
+                                                              paths_fn):
+    """The tighter gamma bound takes longer steps but lands on the same
+    branch as the plain step loop under the nearest-pole bound, on the grid
+    paths and on the side-limit rays of the retry, and flags the same points."""
+    calls = _tracker_calls(monkeypatch, metric, points, paths_fn)
+    assert calls
+    for args, (b, coll) in calls:
+        b_ref, coll_ref = _plain_track(*args, _gamma_nearest)
+        assert np.array_equal(coll, coll_ref)
+        assert np.max(np.abs(b - b_ref)[~coll], initial=0.0) <= 1e-12
 
 
 class TestTracker:

@@ -297,6 +297,39 @@ class TestExperiments:
             assert rep.checks[name] == ok, name
             assert repr(rep.metrics[name]) == repr(value), name   # type and bits
 
+    @pytest.mark.parametrize("field,failing", [
+        ("residual", {"solver_residual"}),
+        ("green", {"structural_identity", "unified_invariant"}),
+        ("alpha", {"structural_identity", "unified_invariant", "alpha2_vs_closed_form"}),
+    ])
+    def test_gap_grid_audit_fails_on_nan(self, tmp_path, monkeypatch, field, failing):
+        # one solution past the first, plain, sampled for the unified check
+        # and deep inside a blob, with a nan in ``field``
+        classify = G.classify_grid
+
+        def with_nan(metric, w, m, paths_fn=None):
+            sols = classify(metric, w, m, paths_fn=paths_fn)
+            idx = [i for i, s in enumerate(sols) if s is not None and not s.note]
+            deep = max((i for i in idx[1:] if i % 7 == 0), key=lambda i: sols[i].alpha2)
+            setattr(sols[deep], field, complex(np.nan) if field == "green" else np.nan)
+            return sols
+
+        monkeypatch.setattr(G, "classify_grid", with_nan)
+        cfg = make_cfg(tmp_path, experiment="gap_grid", grid_points=21)
+        rep = X.run_gap_grid(cfg)
+        assert {name for name, ok in rep.checks.items() if not ok} == failing
+        assert all(np.isnan(rep.metrics[name]) for name in failing)
+
+    def test_gap_grid_without_solutions_reports_unresolved(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(G, "classify_grid", lambda metric, w, m, paths_fn=None: [None] * len(w))
+        cfg = make_cfg(tmp_path, experiment="gap_grid", grid_points=5)
+        rep = X.run_gap_grid(cfg)
+        assert not rep.checks["unresolved_fraction"]
+        assert rep.metrics["unresolved_fraction"] == 1.0
+        out = tmp_path / "out"
+        assert (out / "gap_grid.csv").read_text() == "x,y,phase,alpha2,re_b,im_b,re_G,im_G,residual\n"
+        assert json.loads((out / "report.json").read_text())["checks"] == rep.checks
+
     def test_semicircle_small(self, tmp_path):
         cfg = make_cfg(tmp_path, experiment="semicircle",
                        metric={"type": "signature", "k": 0, "n": 32}, samples=60)
