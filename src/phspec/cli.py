@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from . import ensemble as ens
-from . import metric as metric_mod
 from . import theory
 from .harness import config as config_mod
 from .harness import experiments, io
@@ -79,12 +78,8 @@ def cmd_theory(args) -> int:
     xs = np.linspace(-x0, x0, 801)
     io.write_theory_curve_csv(os.path.join(cfg.out_dir, "rho_real.csv"),
                               xs, theory.rho_real(xs, lam, cfg.m))
-    s0 = theory.sin_theta0(lam)
-    th0 = np.arcsin(s0)
-    thetas = np.linspace(th0 + 1e-9, np.pi - th0 - 1e-9, 361)
-    radii = [theory.boundary_radii(t, lam, cfg.m) for t in thetas]
-    io.write_boundary_csv(os.path.join(cfg.out_dir, "boundary.csv"), thetas,
-                          [r[0] for r in radii], [r[1] for r in radii])
+    io.write_boundary_csv(os.path.join(cfg.out_dir, "boundary.csv"),
+                          *theory.boundary_table(lam, cfg.m, 361))
     area, nu = theory.blob_area_and_nu(lam, cfg.m)
     print(json.dumps({"lambda": lam, "x0": x0, "nu": nu, "blob_area": area}))
     return 0

@@ -144,17 +144,6 @@ def trace_statistic(sample: PhSample) -> float:
     return float(np.trace(sample.phi).real) / sample.n
 
 
-def moment_statistic(sample: PhSample, order: int) -> complex:
-    """(1/n) tr(B phi^order); the ensemble mean vanishes when tr B = 0."""
-    if order < 0 or order > 8:
-        raise ValueError("order must be in 0..8 (cost guard)")
-    n = sample.n
-    acc = np.eye(n, dtype=complex)
-    for _ in range(order):
-        acc = acc @ sample.phi
-    return complex(np.sum(sample.b_diag * np.diagonal(acc))) / n
-
-
 _DUMP_MAGIC = b"PHS1"
 _DUMP_HEADER = struct.Struct("<4sIdQ")
 

@@ -6,9 +6,11 @@ import functools
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+from .. import _blas
 
 
 @dataclass
@@ -33,18 +35,8 @@ class ComparisonReport:
             self.metrics[name] = value
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "passed": self.passed,
-            "checks": self.checks,
-            "metrics": _plain(self.metrics),
-            "skip_counts": self.skip_counts,
-            "timings": self.timings,
-            "provenance": self.provenance,
-            "runtime_seconds": self.runtime_seconds,
-            "config": self.config,
-            "config_hash": self.config_hash,
-        }
+        return {**asdict(self), "passed": self.passed,
+                "metrics": _plain(self.metrics)}
 
     def write(self, path):
         with open(path, "w") as fh:
@@ -60,11 +52,12 @@ def _environment() -> dict:
             "cpu_count": os.cpu_count()}
 
 
-def provenance(workers: int, blas_threads: int | None) -> dict:
+def provenance(workers: int) -> dict:
     """Where a run's numerics ran: numpy and BLAS builds, the machine's
-    core count, the worker processes used and the BLAS threads of each
-    (None where the BLAS thread count cannot be read)."""
-    return {**_environment(), "workers": workers, "blas_threads": blas_threads}
+    core count, the worker processes used, and the BLAS threads of the
+    calling process (None where the count cannot be read), which inside
+    an experiment's runner are one, as in every sampling worker."""
+    return {**_environment(), "workers": workers, "blas_threads": _blas.num_threads()}
 
 
 def _plain(obj):

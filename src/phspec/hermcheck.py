@@ -34,7 +34,7 @@ their residuals are bit-identical for any ``threads``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,7 +8,7 @@ classifier enforces exactly that structure on floating-point output.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,15 +103,6 @@ def classify(eigs: np.ndarray, tol_factor: float = REAL_TOL_FACTOR,
         sample_seed=seed,
         forced_real=forced,
     )
-
-
-def conjugation_mismatch(eigs: np.ndarray) -> float:
-    """Sup distance between the spectrum and its conjugate as multisets.
-
-    Zero up to solver noise for any pseudo-hermitian matrix.
-    """
-    a = np.asarray(eigs, complex)
-    return multiset_distance(a, np.conj(a))
 
 
 def multiset_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -72,25 +72,6 @@ def band_edge(lam: float, m: float = 1.0) -> float:
 
 
 @dataclass(frozen=True)
-class SignatureTheory:
-    """All closed-form spectral data of one signature metric in one place."""
-
-    lam: float
-    m: float
-    sin_theta0: float
-    theta0: float
-    x0: float
-    nu: float
-
-    @classmethod
-    def build(cls, lam: float, m: float = 1.0) -> "SignatureTheory":
-        _check(lam, m)
-        s0 = sin_theta0(lam)
-        return cls(lam=lam, m=m, sin_theta0=s0, theta0=float(np.arcsin(s0)),
-                   x0=band_edge(lam, m), nu=1.0 - abs(1.0 - 2.0 * lam))
-
-
-@dataclass(frozen=True)
 class CubicData:
     """Real-axis discriminant data of the branch cubic.
 
@@ -156,6 +137,22 @@ def boundary_radii(theta: float, lam: float, m: float = 1.0):
     r_minus = np.sqrt((1.0 - disc) / 2.0) / m
     r_plus = np.sqrt((1.0 + disc) / 2.0) / m
     return float(r_minus), float(r_plus)
+
+
+def boundary_table(lam: float, m: float, num: int):
+    """Polar table (theta, r_minus, r_plus) of the upper blob boundary.
+
+    ``num`` directions from 1e-9 past the low sewing corner to 1e-9 short
+    of the high one, each through ``boundary_radii``.  Empty arrays for
+    lam in {0, 1}, where ``boundary_curve`` is empty (no blobs).
+    """
+    _check(lam, m)
+    if lam in (0.0, 1.0):
+        return np.empty(0), np.empty(0), np.empty(0)
+    th0 = np.arcsin(sin_theta0(lam))
+    thetas = np.linspace(th0 + 1e-9, np.pi - th0 - 1e-9, num)
+    r_minus, r_plus = np.array([boundary_radii(t, lam, m) for t in thetas]).T
+    return thetas, r_minus, r_plus
 
 
 def alpha_sq(w, lam: float, m: float = 1.0):

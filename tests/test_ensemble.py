@@ -83,25 +83,6 @@ class TestStatistics:
         # u = (1/n) tr B^2 = 1 for a signature metric
         assert ts.var() == pytest.approx(1.0 / n**2, rel=0.15)
 
-    def test_moment_zero_is_metric_trace(self):
-        s = E.draw_sample(E.EnsembleConfig(n=16, m=1.0, metric=M.Signature(k=4, n=16),
-                                           master_seed=4, num_samples=1), 0)
-        assert E.moment_statistic(s, 0) == pytest.approx(2 * 0.25 - 1)
-
-    def test_moments_vanish_for_traceless_metric(self):
-        n, draws = 32, 400
-        cfg = E.EnsembleConfig(n=n, m=1.0, metric=M.Signature(k=16, n=n),
-                               master_seed=11, num_samples=draws)
-        vals = np.array([E.moment_statistic(E.draw_sample(cfg, i), 2) for i in range(draws)])
-        err = vals.std() / np.sqrt(draws)
-        assert abs(vals.mean()) <= 4 * err
-
-    def test_moment_cost_guard(self):
-        s = E.draw_sample(E.EnsembleConfig(n=4, m=1.0, metric=M.Signature(k=1, n=4),
-                                           master_seed=1, num_samples=1), 0)
-        with pytest.raises(ValueError):
-            E.moment_statistic(s, 9)
-
 
 class TestSeedsAndDump:
     def test_mix_seed_is_splitmix(self):

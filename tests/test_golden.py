@@ -1,0 +1,30 @@
+"""Every output byte of eight small runs against ``tests/golden/manifest.json``.
+
+A refactor that claims to move no result must pass this test unchanged;
+a change that moves results rewrites the manifest with
+``tests/golden/regen.py`` and says so.  See that script for the runs.
+"""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+_GOLDEN = pathlib.Path(__file__).parent / "golden"
+_spec = importlib.util.spec_from_file_location("golden_regen", _GOLDEN / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+
+def test_outputs_match_golden_manifest(tmp_path):
+    manifest = json.loads((_GOLDEN / "manifest.json").read_text())
+    here = regen.fingerprint()
+    moved = {key: (value, here.get(key)) for key, value in manifest["platform"].items()
+             if here.get(key) != value}
+    if moved:
+        pytest.skip(f"golden manifest made on another platform: {moved}")
+    hashes = regen.outputs(str(tmp_path))
+    assert sorted(hashes) == sorted(manifest["outputs"])
+    changed = [name for name, digest in hashes.items() if digest != manifest["outputs"][name]]
+    assert not changed, f"outputs differ from the golden manifest: {changed}"

@@ -353,19 +353,55 @@ class TestExperiments:
         ("uniformity", {"n": 128, "metric": {"type": "signature", "k": 48, "n": 128},
                         "samples": 20}),
         ("semicircle", {"metric": {"type": "signature", "k": 0, "n": 32}}),
+        ("gap_grid", {"grid_points": 11}),
     ])
     def test_sampling_timings_and_provenance(self, tmp_path, experiment, extra):
         cfg = make_cfg(tmp_path, experiment=experiment, threads=2, **extra)
         rep = X.run(cfg)
         data = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert {"sampling", "reduce"} <= set(data["timings"])
+        if experiment == "gap_grid":   # solved in this process, no sampling
+            assert set(data["timings"]) == {"classify", "io", "audit", "boundary"}
+        else:
+            assert {"sampling", "reduce"} <= set(data["timings"])
         total = sum(data["timings"].values())
         assert abs(total - rep.runtime_seconds) <= 0.05 * rep.runtime_seconds
         prov = data["provenance"]
-        assert prov["workers"] == 2 and prov["cpu_count"] == os.cpu_count()
+        assert prov["workers"] == (1 if experiment == "gap_grid" else 2)
+        assert prov["cpu_count"] == os.cpu_count()
         assert prov["numpy"] == np.__version__
         assert prov["blas_threads"] == (None if _blas.num_threads() is None else 1)
         assert set(prov) == {"numpy", "blas", "cpu_count", "workers", "blas_threads"}
+
+    @pytest.mark.parametrize("metric,n,points", [
+        ({"type": "diagonal", "values": SIGNED_ATOMS_12}, 12, 12),
+        ({"type": "flat", "mu1": 1.0, "lminus": 0.5, "mu2": 1.5, "lplus": 1.0}, 64, 15),
+    ])
+    def test_gap_grid_bytes_independent_of_parent_blas_threads(
+            self, tmp_path, monkeypatch, metric, n, points):
+        seen = []
+        classify = G.classify_grid
+
+        def recorded(*args, **kwargs):
+            seen.append(_blas.num_threads())
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(G, "classify_grid", recorded)
+        grids = []
+        for count in (2, 1):
+            out = tmp_path / f"t{count}"
+            with parent_blas_threads(count):
+                X.run_gap_grid(make_cfg(tmp_path, experiment="gap_grid", metric=metric,
+                                        n=n, grid_points=points, out_dir=str(out)))
+                assert _blas.num_threads() in (count, None)   # restored after the run
+            grids.append((out / "gap_grid.csv").read_bytes())
+        assert grids[0] == grids[1]
+        # the solver itself ran on one BLAS thread both times
+        assert seen == [None if _blas.num_threads() is None else 1] * 2
+
+    def test_registry_names_the_config_experiments(self):
+        assert sorted(X._RUNNERS) == sorted(C.EXPERIMENTS)
+        for name, runner in X._RUNNERS.items():
+            assert getattr(X, runner.__name__) is runner, name
 
     def test_verify_records_tolerances_and_timings(self, tmp_path):
         cfg = make_cfg(tmp_path, experiment="verify", samples=4, threads=2)
@@ -446,6 +482,16 @@ class TestCli:
         assert data["lambda"] == 0.25
         assert (tmp_path / "out" / "rho_real.csv").exists()
         assert (tmp_path / "out" / "boundary.csv").exists()
+
+    @pytest.mark.parametrize("k", [0, 32])
+    def test_theory_command_on_definite_signature(self, tmp_path, capsys, k):
+        # lam in {0, 1}: no blobs, so no boundary rows
+        p = self._write_cfg(tmp_path, metric={"type": "signature", "k": k, "n": 32})
+        assert cli.main(["theory", "--config", str(p)]) == 0
+        data = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert data["blob_area"] == 0.0 and data["nu"] == 0.0
+        assert (tmp_path / "out" / "boundary.csv").read_text() == "theta,r_minus,r_plus\n"
+        assert len((tmp_path / "out" / "rho_real.csv").read_text().splitlines()) == 802
 
     def test_compare_exit_code(self, tmp_path):
         # gap_grid is deterministic and passes at small scale; KS-style

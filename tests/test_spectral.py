@@ -54,7 +54,7 @@ class TestClassify:
     def test_conjugation_symmetry(self):
         for s in sample_spectra(64, 16, 10, seed=6):
             scale = np.max(np.abs(s.eigs))
-            assert spectral.conjugation_mismatch(s.eigs) <= 1e-8 * scale
+            assert spectral.multiset_distance(s.eigs, np.conj(s.eigs)) <= 1e-8 * scale
 
     def test_spectral_radius_bound(self):
         cfg = E.EnsembleConfig(n=48, m=1.0, metric=M.Signature(k=12, n=48),

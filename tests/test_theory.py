@@ -67,6 +67,9 @@ class TestRhoReal:
         for lam in LAMBDAS:
             assert np.allclose(T.rho_real(xs, lam, 1.0), T.rho_real(xs, 1 - lam, 1.0),
                                atol=1e-14)
+            assert (T.band_edge(lam, 1.3), T.blob_area_and_nu(lam, 1.3), T.sin_theta0(lam)) \
+                == (T.band_edge(1 - lam, 1.3), T.blob_area_and_nu(1 - lam, 1.3),
+                    T.sin_theta0(1 - lam))
 
     def test_even_in_x(self):
         xs = np.linspace(0.0, 1.6, 30)
@@ -113,6 +116,19 @@ class TestBoundary:
                 w = r * np.exp(1j * th)
                 _, beta = T.alpha_sq(w, lam, m)
                 assert abs(2 * m * m * w.imag * beta + (1 - 2 * lam)) <= 1e-10
+
+    def test_table_follows_the_radii(self):
+        for lam in LAMBDAS + (0.5, 0.75):
+            th, r_minus, r_plus = T.boundary_table(lam, 1.3, 41)
+            assert len(th) == 41 and np.all(np.diff(th) > 0)
+            th0 = np.arcsin(T.sin_theta0(lam))
+            assert th[0] == th0 + 1e-9 and th[-1] == np.pi - th0 - 1e-9
+            assert [T.boundary_radii(t, lam, 1.3) for t in th] == list(zip(r_minus, r_plus))
+
+    def test_table_empty_without_blobs(self):
+        for lam in (0.0, 1.0):
+            assert len(T.boundary_curve(lam, 1.0)) == 0
+            assert [len(col) for col in T.boundary_table(lam, 1.0, 41)] == [0, 0, 0]
 
 
 class TestAlphaSq:
@@ -254,26 +270,6 @@ class TestSemicircle:
         re, _ = integrate.quad(lambda x: (T.semicircle_density(x, 1.0) / (w - x)).real, -2, 2)
         im, _ = integrate.quad(lambda x: (T.semicircle_density(x, 1.0) / (w - x)).imag, -2, 2)
         assert T.gue_green(w, 1.0) == pytest.approx(complex(re, im), abs=1e-8)
-
-
-class TestSignatureTheory:
-    def test_aggregate_fields(self):
-        st = T.SignatureTheory.build(0.25, 1.0)
-        assert st.sin_theta0 == 0.5
-        assert st.theta0 == pytest.approx(np.pi / 6)
-        assert st.x0 == pytest.approx(T.band_edge(0.25, 1.0))
-        assert st.nu == 0.5
-
-    def test_forced_values(self):
-        assert T.SignatureTheory.build(0.0, 1.0).x0 == pytest.approx(2.0)
-        assert T.SignatureTheory.build(0.5, 1.0).x0 == pytest.approx(1.0)
-        assert T.SignatureTheory.build(0.5, 1.0).nu == 1.0
-
-    def test_lambda_reflection_invariance(self):
-        for lam in LAMBDAS:
-            a = T.SignatureTheory.build(lam, 1.3)
-            b = T.SignatureTheory.build(1 - lam, 1.3)
-            assert (a.x0, a.nu, a.sin_theta0) == (b.x0, b.nu, b.sin_theta0)
 
 
 class TestCdf:
