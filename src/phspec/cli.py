@@ -54,7 +54,8 @@ def cmd_sample(args) -> int:
     cfg = _load(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
     samples, _ = map_spectra(cfg.metric, cfg.n, cfg.m, cfg.seed, cfg.samples, cfg.threads)
-    rows = [(s.sample_index, v.real, v.imag) for s in samples for v in s.eigs]
+    eigs = np.concatenate([s.eigs for s in samples]) if samples else np.empty(0, complex)
+    index = np.repeat([s.sample_index for s in samples], [len(s.eigs) for s in samples])
     if cfg.dump_samples:
         ens_cfg = ens.EnsembleConfig(n=cfg.n, m=cfg.m, metric=cfg.metric,
                                      master_seed=cfg.seed, num_samples=cfg.samples)
@@ -62,8 +63,8 @@ def cmd_sample(args) -> int:
             ens.dump_sample(ens.draw_sample(ens_cfg, i), cfg.m,
                             os.path.join(cfg.out_dir, f"phi_{i:06d}.bin"))
     io.write_csv(os.path.join(cfg.out_dir, "eigenvalues.csv"),
-                 ["sample", "re", "im"], rows)
-    print(f"wrote {len(rows)} eigenvalues from {cfg.samples} samples to {cfg.out_dir}")
+                 ["sample", "re", "im"], (index, eigs.real, eigs.imag))
+    print(f"wrote {len(eigs)} eigenvalues from {cfg.samples} samples to {cfg.out_dir}")
     return 0
 
 

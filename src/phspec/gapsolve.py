@@ -42,6 +42,9 @@ Both phases satisfy one unified identity through the map argument
 zeta:  w G = zeta G_B(zeta) = 1 + m^2 (a^2 + b^2).  ``unified_check``
 evaluates it as an independent residual against the metric's Cauchy
 transform.
+
+``classify_grid`` returns one ``GapSolution`` of arrays, entry i for
+point i, which the audit and the CSV writer read as it is.
 """
 
 from __future__ import annotations
@@ -57,14 +60,18 @@ from .metric import FlatContinuum, Metric
 
 HOLOMORPHIC = "holomorphic"
 NONHOLOMORPHIC = "nonholomorphic"
+UNRESOLVED = "unresolved"
 
 PATH_STEPS = 128
 START_RADIUS_FACTOR = 100.0
 NEWTON_TOL = 1e-10
 NEWTON_RESTARTS = 4
+NEWTON_ITERS = 40
 TINY_IM = 1e-150
 TRACELESS_TOL = 1e-14
 FLAT_QUAD_NODES = 64
+BOUNDARY_SCAN = 64
+BOUNDARY_TOL = 1e-9
 
 
 class BranchPointProximity(RuntimeError):
@@ -77,30 +84,26 @@ class GapSolveError(RuntimeError):
 
 @dataclass
 class GapSolution:
-    """Solved gap-equation data at one point w."""
+    """Solved gap-equation data, one array entry per point in input order;
+    an UNRESOLVED point has nan numbers.  ``take(i)`` is one point."""
 
-    w: complex
-    phase: str
-    b: complex                    # i*beta in the non-holomorphic phase
-    alpha: float                  # Im a >= 0; zero in the holomorphic phase
-    beta: float                   # Im b
-    zeta: complex                 # map argument feeding G_B (inf when b = 0)
-    green: complex
-    residual: float
-    note: str = ""
+    w: np.ndarray
+    phase: np.ndarray             # HOLOMORPHIC, NONHOLOMORPHIC or UNRESOLVED
+    b: np.ndarray                 # i*beta in the non-holomorphic phase
+    alpha: np.ndarray             # Im a >= 0; zero in the holomorphic phase
+    beta: np.ndarray              # Im b
+    zeta: np.ndarray              # map argument feeding G_B (inf when b = 0)
+    green: np.ndarray
+    residual: np.ndarray
+    note: np.ndarray              # the real-axis side limit taken, or ""
 
     @property
-    def alpha2(self) -> float:
+    def alpha2(self):
         return self.alpha * self.alpha
 
     def take(self, idx) -> GapSolution:
-        """Entries ``idx`` of a GapSolution of arrays (``columns``)."""
+        """Entries ``idx`` of every field."""
         return GapSolution(*(v[idx] for v in vars(self).values()))
-
-
-def columns(sols: list[GapSolution]) -> GapSolution:
-    """The solutions as one GapSolution of arrays, entry i from sols[i]."""
-    return GapSolution(*map(np.array, zip(*(vars(s).values() for s in sols))))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +142,7 @@ def _terms(metric: Metric):
 def _default_paths(w: np.ndarray, metric: Metric, m: float) -> np.ndarray:
     """Geometric rays from far outside the spectrum, ending exactly at each target."""
     start = START_RADIUS_FACTOR * max(
-        2.0 * metric_mod.support_radius(metric) / m, float(np.max(np.abs(w)))
+        2.0 * metric_mod.support_radius(metric) / m, float(np.max(np.abs(w), initial=0.0))
     )
     t = np.linspace(0.0, 1.0, PATH_STEPS + 1)[:, None]
     r = np.maximum(np.abs(w), 1e-12 * start)   # keep w = 0 off the division
@@ -183,44 +186,9 @@ def solve_holomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0,
     return b, _holomorphic_green(mu, c, w, b), res, collided
 
 
-def solve_holomorphic(metric: Metric, w: complex, m: float = 1.0,
-                      paths: np.ndarray | None = None) -> GapSolution:
-    """Holomorphic-phase solution at a single point.
-
-    Raises BranchPointProximity when the continuation track cannot
-    distinguish two branches (e.g. for w exactly on the real-eigenvalue
-    band, where the physical b has a jump; evaluate side limits with an
-    explicit +-i eps instead).
-    """
-    b, green, res, collided = solve_holomorphic_batch(metric, np.array([w]), m, paths=paths)
-    if collided[0]:
-        raise BranchPointProximity(f"branch collision on the continuation path to w={w}")
-    return _holomorphic_solutions(np.array([w], dtype=complex), b, green, res)[0]
-
-
-def _holomorphic_solutions(w, b, green, residual) -> list[GapSolution]:
-    """One holomorphic GapSolution per entry; zeta = -w/b divides as Python does."""
-    return [GapSolution(w=wk, phase=HOLOMORPHIC, b=bk, alpha=0.0, beta=bk.imag, green=gk,
-                        zeta=complex(np.inf, np.inf) if bk == 0 else -wk / bk, residual=rk)
-            for wk, bk, gk, rk in zip(w.tolist(), b.tolist(), green.tolist(), residual.tolist())]
-
-
 # ---------------------------------------------------------------------------
 # non-holomorphic phase
 # ---------------------------------------------------------------------------
-
-def solve_nonholomorphic(metric: Metric, w: complex, m: float = 1.0) -> GapSolution | None:
-    """Newton solve for (alpha^2, beta) at a single point: a batch of one.
-
-    Returns None when no solution with alpha^2 > 0 exists (w is outside
-    the non-holomorphic region) or when the iteration fails to converge
-    from every start; the caller distinguishes those by attempting the
-    holomorphic phase next.
-    """
-    w = np.array([w], dtype=complex)
-    s, beta, res, success = solve_nonholomorphic_batch(metric, w, m)
-    return _nonholomorphic_solutions(metric, w, s, beta, res)[0] if success[0] else None
-
 
 def solve_nonholomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0):
     """Lockstep Newton solve for (alpha^2, beta) over a batch of points.
@@ -271,7 +239,7 @@ def solve_nonholomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0):
     return s, beta, res, success
 
 
-def _newton_batch(mu, wt, x, y, s, beta, m, iters=40):
+def _newton_batch(mu, wt, x, y, s, beta, m):
     """Lockstep Newton with positivity-guarded step halving.
 
     Uses the B^2-scaled form of the two real equations, with denominator
@@ -296,7 +264,7 @@ def _newton_batch(mu, wt, x, y, s, beta, m, iters=40):
         j22 = -(wt * mu * de_db * inv2).sum(axis=1)
         return f1, f2, j11, j12, j21, j22, bad
 
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         if not np.any(act):
             break
         ia = np.flatnonzero(act)
@@ -341,62 +309,48 @@ def _nonholomorphic_green(metric, w, s, beta):
     return np.conj(w) * (wt / e).sum(axis=1)
 
 
-def _nonholomorphic_solutions(metric, w, s, beta, res) -> list[GapSolution]:
-    """One non-holomorphic GapSolution per point, from the Newton output."""
-    x, y = w.real, w.imag
-    denom = s + beta * beta
-    xi = np.sqrt(s * (x * x + y * y) + beta * beta * x * x) / denom
-    return [GapSolution(w=wk, phase=NONHOLOMORPHIC, b=complex(0.0, bk), alpha=ak,
-                        beta=bk, zeta=complex(zr, zi), green=gk, residual=rk)
-            for wk, ak, bk, zr, zi, gk, rk in zip(
-                w.tolist(), np.sqrt(s).tolist(), beta.tolist(), (-beta * y / denom).tolist(),
-                xi.tolist(), _nonholomorphic_green(metric, w, s, beta).tolist(), res.tolist())]
-
-
 # ---------------------------------------------------------------------------
 # phase classification, boundary, densities, identities
 # ---------------------------------------------------------------------------
 
 def classify_phase(metric: Metric, w: complex, m: float = 1.0) -> GapSolution:
-    """Classify a single point: ``classify_grid`` of one point.
+    """Classify a single point: entry 0 of ``classify_grid`` of one point.
 
     A point on a real-axis cut, or nearer to it than the side-limit
     offset, comes back as the side limit on its own side, noted on the
-    solution.  Raises BranchPointProximity where ``classify_grid``
-    returns None: the continuation track collided on the first attempt
-    and on the retry.
+    solution.  Raises BranchPointProximity where ``classify_grid`` leaves
+    the point UNRESOLVED.
     """
-    sol = classify_grid(metric, [w], m)[0]
-    if sol is None:
+    sol = classify_grid(metric, [w], m).take(0)
+    if sol.phase == UNRESOLVED:
         raise BranchPointProximity(f"branch collision on the continuation path to w={w}")
     return sol
 
 
-def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> list[GapSolution | None]:
-    """Classify a batch of points, batching each phase's solver.
+# the note of a point: none, or the real-axis side limit it was solved as
+_NOTES = np.array(["", "real-axis cut: upper side limit", "real-axis cut: lower side limit"])
+
+
+def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> GapSolution:
+    """Classify a batch of points into one GapSolution of arrays.
 
     One ``solve_nonholomorphic_batch`` call settles the non-holomorphic
     points; the others take at most two ``solve_holomorphic_batch``
-    calls; each phase's solutions are packed from whole arrays.  The first
-    call continues real-axis points along default rays and every other
-    point along ``paths_fn(w_subset) -> (L, len(w_subset))`` when given:
-    blob-avoiding waypoints ending at w, from a caller that knows the
-    geometry, e.g. for signature metrics.  A point counts as on the real
-    axis when |Im w| is below the imaginary offset of the side limit.
-    One retry then covers every point whose track collided.  A real-axis
-    point is retried just off the cut on its own side (above for Im w =
-    0), and that upper or lower side limit is returned, marked in
-    ``note``; any other point is retried on default rays.  A point that
-    collides again is returned as None.
+    calls.  The first call continues real-axis points along default rays
+    and every other point along ``paths_fn(w_subset) -> (L,
+    len(w_subset))`` when given: blob-avoiding waypoints ending at w,
+    from a caller that knows the geometry, e.g. for signature metrics.  A
+    point counts as on the real axis when |Im w| is below the imaginary
+    offset of the side limit.  One retry then covers every point whose
+    track collided.  A real-axis point is retried just off the cut on its
+    own side (above for Im w = 0), and that upper or lower side limit is
+    returned, marked in ``note``; any other point is retried on default
+    rays.  A point that collides again gets phase UNRESOLVED and nan
+    numbers.
     """
     w = np.asarray(w, dtype=complex).ravel()
-    out = np.full(len(w), None, dtype=object)
     s, beta, res, success = solve_nonholomorphic_batch(metric, w, m)
-    nh = np.flatnonzero(success)
-    out[nh] = _nonholomorphic_solutions(metric, w[nh], s[nh], beta[nh], res[nh])
     rest = np.flatnonzero(~success)
-    if len(rest) == 0:
-        return out.tolist()
     wr = w[rest]
     # Side-limit offset.  It leans mostly along the real axis so the
     # continuation ray keeps a tiny angle and stays in the
@@ -421,12 +375,29 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> list[GapS
         wh[redo] = np.where(on_axis[redo], limit[redo], wr[redo])
         b[redo], green[redo], hres[redo], collided[redo] = solve_holomorphic_batch(
             metric, wh[redo], m)
-    good = np.flatnonzero(~collided)
-    out[rest[good]] = _holomorphic_solutions(wh[good], b[good], green[good], hres[good])
-    for k in np.flatnonzero(~collided & (wh != wr)):   # side limits, solved off the cut
-        side = "lower" if lower[k] else "upper"
-        out[rest[k]].w, out[rest[k]].note = complex(wr[k]), f"real-axis cut: {side} side limit"
-    return out.tolist()
+    nan = np.full(len(w), np.nan)
+    sol = GapSolution(w=w, phase=np.where(success, NONHOLOMORPHIC, UNRESOLVED), b=nan + 0j,
+                      alpha=nan.copy(), beta=nan.copy(), zeta=nan + 0j, green=nan + 0j,
+                      residual=nan.copy(), note=np.zeros_like(_NOTES, shape=len(w)))
+    # complex columns are set by parts: 1j * beta would make Re b = -0.0 for beta < 0
+    nh = np.flatnonzero(success)
+    x, y, s, beta = w.real[nh], w.imag[nh], s[nh], beta[nh]
+    denom = s + beta * beta
+    sol.b.real[nh], sol.b.imag[nh], sol.alpha[nh], sol.beta[nh] = 0.0, beta, np.sqrt(s), beta
+    sol.zeta.real[nh] = -beta * y / denom
+    sol.zeta.imag[nh] = np.sqrt(s * (x * x + y * y) + beta * beta * x * x) / denom
+    sol.green[nh], sol.residual[nh] = _nonholomorphic_green(metric, w[nh], s, beta), res[nh]
+    good = ~collided
+    hol = rest[good]
+    sol.phase[hol], sol.b[hol], sol.alpha[hol], sol.beta[hol] = (
+        HOLOMORPHIC, b[good], 0.0, b[good].imag)
+    # zeta = -w/b divided as Python divides (numpy's quotient rounds differently)
+    sol.zeta[hol] = [complex(np.inf, np.inf) if bk == 0 else -wk / bk
+                     for wk, bk in zip(wh[good].tolist(), b[good].tolist())]
+    sol.green[hol], sol.residual[hol] = green[good], hres[good]
+    side = good & (wh != wr)    # side limits, solved off the cut
+    sol.note[rest[side]] = _NOTES[1 + lower[side]]
+    return sol
 
 
 def _hold_start(paths: np.ndarray, rows: int) -> np.ndarray:
@@ -434,26 +405,24 @@ def _hold_start(paths: np.ndarray, rows: int) -> np.ndarray:
     return np.concatenate([np.repeat(paths[:1], rows - len(paths), axis=0), paths])
 
 
-def phase_boundary(metric: Metric, thetas, m: float = 1.0,
-                   r_max: float | None = None, scan: int = 64,
-                   tol: float = 1e-9) -> list[tuple[float, list[float]]]:
+def phase_boundary(metric: Metric, thetas, m: float = 1.0) -> list[tuple[float, list[float]]]:
     """Radial crossings of the phase boundary along each direction.
 
-    Scans r on every ray at once for changes of non-holomorphic
-    solvability and bisects all brackets in lockstep to ``tol``.  Rays
-    that never enter the non-holomorphic region contribute an empty
-    crossing list.
+    Scans r on every ray at once, at BOUNDARY_SCAN radii out to 1.5 times
+    the spectral reach, for changes of non-holomorphic solvability and
+    bisects all brackets in lockstep to BOUNDARY_TOL.  Rays that never
+    enter the non-holomorphic region contribute an empty crossing list.
     """
-    if r_max is None:
-        r_max = 1.5 * (2.0 / m) * max(metric_mod.support_radius(metric), 1.0)
+    r_max = 1.5 * (2.0 / m) * max(metric_mod.support_radius(metric), 1.0)
     thetas = np.atleast_1d(thetas).astype(float)
     e = np.exp(1j * thetas)
-    rs = np.linspace(r_max / scan, r_max, scan)
-    inside = solve_nonholomorphic_batch(metric, np.outer(e, rs), m)[3].reshape(len(e), scan)
+    rs = np.linspace(r_max / BOUNDARY_SCAN, r_max, BOUNDARY_SCAN)
+    inside = solve_nonholomorphic_batch(metric, np.outer(e, rs), m)[3].reshape(
+        len(e), BOUNDARY_SCAN)
     ray, k = np.nonzero(inside[:, :-1] != inside[:, 1:])
     lo, hi, flo = rs[k], rs[k + 1], inside[ray, k]
     while True:
-        act = np.flatnonzero(hi - lo > tol)
+        act = np.flatnonzero(hi - lo > BOUNDARY_TOL)
         if len(act) == 0:
             break
         mid = (lo[act] + hi[act]) / 2.0
@@ -505,14 +474,14 @@ def _identity_sides(sol: GapSolution, m: float):
 
 
 def structural_check(sol: GapSolution, m: float = 1.0) -> np.ndarray:
-    """|w G - (1 + m^2 (a^2 + b^2))| elementwise over ``columns`` (by hypot, as abs)."""
+    """|w G - (1 + m^2 (a^2 + b^2))| elementwise over a GapSolution (by hypot, as abs)."""
     wg, rhs = _identity_sides(sol, m)
     return np.hypot((wg - rhs).real, (wg - rhs).imag)
 
 
 def unified_check(sol: GapSolution, metric: Metric, m: float = 1.0):
     """Residual of the unified identity w G = zeta G_B(zeta) = 1 + m^2(a^2+b^2)
-    at one solution, or elementwise over ``columns`` with one ``green_b`` call."""
+    at one point (``take(i)``), or elementwise with one ``green_b`` call."""
     wg, rhs = _identity_sides(sol, m)
     zeta = np.atleast_1d(np.asarray(sol.zeta, dtype=complex))
     zg = np.ones_like(zeta)   # b = 0 branch: zeta at infinity, zeta*G_B -> 1

@@ -52,6 +52,8 @@ class RunConfig:
             raise ConfigError("real_fraction_sweep needs a nonempty 'lambdas' list")
         if self.bins < 2:
             raise ConfigError("bins must be >= 2")
+        if self.grid_points < 2:
+            raise ConfigError("grid_points must be >= 2")
         self._check_metric_fits()
         if self.experiment != "real_fraction_sweep":
             metric_mod.realize(self.metric, self.n)   # realizability check up front

@@ -158,8 +158,15 @@ def run_fraction_sweep(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> 
 # ---------------------------------------------------------------------------
 
 def _distance_to_curve(points: np.ndarray, curve: np.ndarray) -> np.ndarray:
-    """Pointwise distance to a dense polyline (vertex approximation)."""
-    return np.min(np.abs(points[:, None] - curve[None, :]), axis=1)
+    """Pointwise distance to a dense polyline (vertex approximation); inf
+    for an empty curve."""
+    return np.min(np.abs(points[:, None] - curve[None, :]), axis=1, initial=np.inf)
+
+
+def _mirrored_boundary(lam: float, m: float) -> np.ndarray:
+    """The upper blob boundary and its mirror image; empty for lam in {0, 1}."""
+    curve = theory.boundary_curve(lam, m, num=2001)
+    return np.concatenate([curve, np.conj(curve)])
 
 
 @experiment("complex_scatter")
@@ -224,8 +231,7 @@ def run_uniformity(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> None
         samples, (ncell, ncell), (-extent, extent), (-extent, extent))
     rep.metrics["cells_per_axis"] = ncell
 
-    curve = theory.boundary_curve(lam, cfg.m, num=2001)
-    curve_full = np.concatenate([curve, np.conj(curve)])
+    curve_full = _mirrored_boundary(lam, cfg.m)
     xc = 0.5 * (hist.x_edges[:-1] + hist.x_edges[1:])
     yc = 0.5 * (hist.y_edges[:-1] + hist.y_edges[1:])
     expected = density * hist.cell_area * total_eigs
@@ -264,33 +270,32 @@ def _worst(values: np.ndarray) -> float:
     return float(np.max(values, initial=0.0))
 
 
-def _audit_gap_grid(rep: ComparisonReport, cfg: RunConfig, sols, solved, spacing: float):
-    """Audit the solved points of a gap grid: solver residual, the structural
-    and unified identities and, for signatures, the closed forms."""
+def _audit_gap_grid(rep: ComparisonReport, cfg: RunConfig, sol: gapsolve.GapSolution,
+                    index: np.ndarray, spacing: float):
+    """Audit the resolved points ``sol`` of a gap grid, at grid positions
+    ``index``: solver residual, the structural and unified identities and,
+    for signatures, the closed forms."""
     m = cfg.m
-    cols = gapsolve.columns(solved)
-    res_max = _worst(cols.residual)
+    res_max = _worst(sol.residual)
     rep.add_check("solver_residual", res_max <= THRESHOLDS["solver_residual"], res_max)
     # identities where a point was solved where it stands
-    plain = cols.note == ""
-    sample = cols.take(plain & (np.flatnonzero([s is not None for s in sols]) % 7 == 0))
-    worst_structural = _worst(gapsolve.structural_check(cols, m)[plain])
-    worst_unified = _worst(gapsolve.unified_check(sample, cfg.metric, m))
+    plain = sol.note == ""
+    worst_structural = _worst(gapsolve.structural_check(sol, m)[plain])
+    worst_unified = _worst(gapsolve.unified_check(sol.take(plain & (index % 7 == 0)),
+                                                  cfg.metric, m))
     rep.add_check("structural_identity",
                   worst_structural <= THRESHOLDS["structural_identity"], worst_structural)
     rep.add_check("unified_invariant",
                   worst_unified <= THRESHOLDS["structural_identity"], worst_unified)
     if isinstance(cfg.metric, Signature):
         lam = cfg.metric.lam
-        curve = theory.boundary_curve(lam, m, num=2001)
-        curve_full = np.concatenate([curve, np.conj(curve)]) if len(curve) else curve
-        inside = (cols.w.imag != 0) & theory.in_blobs(cols.w, lam, m)
-        disagree = cols.w[(cols.phase == gapsolve.NONHOLOMORPHIC) != inside].tolist()
-        dist = [np.min(np.abs(curve_full - p)) if len(curve_full) else np.inf for p in disagree]
-        misclass_far = sum(1 for d in dist if d > np.sqrt(2.0) * spacing)
-        a2c = theory.alpha_sq(cols.w[inside], lam, m)[0]
+        inside = (sol.w.imag != 0) & theory.in_blobs(sol.w, lam, m)
+        disagree = sol.w[(sol.phase == gapsolve.NONHOLOMORPHIC) != inside]
+        dist = _distance_to_curve(disagree, _mirrored_boundary(lam, m))
+        misclass_far = int(np.count_nonzero(dist > np.sqrt(2.0) * spacing))
+        a2c = theory.alpha_sq(sol.w[inside], lam, m)[0]
         deep = a2c > 1e-3 / (m * m)   # interior, away from the boundary
-        worst_a2 = _worst(np.abs(cols.alpha2[inside][deep] - a2c[deep]))
+        worst_a2 = _worst(np.abs(sol.alpha2[inside][deep] - a2c[deep]))
         rep.add_check("alpha2_vs_closed_form",
                       worst_a2 <= THRESHOLDS["gap_alpha2_abs"], worst_a2)
         rep.add_check("classification_boundary_band", misclass_far == 0, misclass_far)
@@ -298,8 +303,8 @@ def _audit_gap_grid(rep: ComparisonReport, cfg: RunConfig, sols, solved, spacing
 
 @experiment("gap_grid")
 def run_gap_grid(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> None:
-    """Classify a w-grid with the gap solver; closed-form audit for signatures,
-    on the solution columns.  ``timings`` has laps classify, io, audit, boundary."""
+    """Classify a w-grid with the gap solver; CSV and audit (closed forms for
+    signatures) of its resolved points.  ``timings``: classify, io, audit, boundary."""
     m = cfg.m
     extent = cfg.grid_extent if cfg.grid_extent is not None else 1.2 / m
     xs = np.linspace(-extent, extent, cfg.grid_points)
@@ -308,18 +313,19 @@ def run_gap_grid(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> None:
     is_sig = isinstance(cfg.metric, Signature)
     lam = cfg.metric.lam if is_sig else None
     paths_fn = (lambda ws: theory.continuation_paths(ws, lam, m)) if is_sig else None
-    sols = gapsolve.classify_grid(cfg.metric, W, m, paths_fn=paths_fn)
+    sol = gapsolve.classify_grid(cfg.metric, W, m, paths_fn=paths_fn)
     sw.lap("classify")
-    solved = [s for s in sols if s is not None]
-    unresolved = len(W) - len(solved)
+    resolved = np.flatnonzero(sol.phase != gapsolve.UNRESOLVED)
+    unresolved = len(W) - len(resolved)
     rep.add_check("unresolved_fraction",
                   unresolved / len(W) <= THRESHOLDS["unresolved_fraction"],
                   unresolved / len(W))
+    solved = sol.take(resolved)
     io.write_gap_grid_csv(_out(cfg, "gap_grid.csv"), solved)
     sw.lap("io")
 
-    if solved:
-        _audit_gap_grid(rep, cfg, sols, solved, xs[1] - xs[0])
+    if len(resolved):
+        _audit_gap_grid(rep, cfg, solved, resolved, xs[1] - xs[0])
     sw.lap("audit")
 
     if is_sig and 0.0 < lam < 1.0:
@@ -328,7 +334,7 @@ def run_gap_grid(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> None:
             radii = theory.boundary_radii(th, lam, m)
             if radii is None:
                 continue
-            found = gapsolve.phase_boundary(cfg.metric, [th], m, tol=1e-9)[0][1]
+            found = gapsolve.phase_boundary(cfg.metric, [th], m)[0][1]
             for r_closed in radii:
                 worst_bd = max(worst_bd,
                                min(abs(r_closed - r) for r in found)
@@ -415,8 +421,7 @@ def run_verify(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> None:
     cfg_avg = ens.EnsembleConfig(n=n_avg, m=cfg.m, metric=metric_avg,
                                  master_seed=cfg.seed, num_samples=num_avg)
     w = (0.05 + 0.55j) / cfg.m**2
-    gap = hermcheck.averaged_gap_residual(cfg_avg, 0.1, np.sqrt(w), num_avg,
-                                          cfg.threads)
+    gap = hermcheck.averaged_gap_residual(cfg_avg, 0.1, np.sqrt(w), threads=cfg.threads)
     rel_tol = THRESHOLDS["averaged_gap_rel"]
     check("avg_a_equals_c", gap.rel_ac, rel_tol)
     check("avg_eq_a", gap.eq_a_residual, rel_tol)

@@ -231,8 +231,7 @@ def _gap_traces(config: ens.EnsembleConfig, s: float, z: complex, idx: int):
             block_traces(a, config.metric, s / 2.0, z).traces)
 
 
-def averaged_gap_residual(config: ens.EnsembleConfig, s: float, z: complex,
-                          num_samples: int | None = None,
+def averaged_gap_residual(config: ens.EnsembleConfig, s: float, z: complex, *,
                           threads: int | None = None) -> GapResidualReport:
     """Estimate the averaged block traces and plug them into the gap equations.
 
@@ -244,19 +243,18 @@ def averaged_gap_residual(config: ens.EnsembleConfig, s: float, z: complex,
     b_bar = -mean(41)/m^2, and the reported relative residuals shrink
     like O(1/N) + O(1/sqrt(samples)) + O(s^2).
 
-    The draws are spread over ``threads`` worker processes (all cores by
-    default) and their traces summed in sample-index order.
+    The ``config.num_samples`` draws are spread over ``threads`` worker
+    processes (all cores by default) and their traces summed in
+    sample-index order.
     """
-    if num_samples is None:
-        num_samples = config.num_samples
     m = config.m
     acc_s = np.zeros((4, 4), dtype=complex)
     acc_half = np.zeros((4, 4), dtype=complex)
     for t_s, t_half in _blas.map_samples(functools.partial(_gap_traces, config, s, z),
-                                         num_samples, threads):
+                                         config.num_samples, threads):
         acc_s += t_s
         acc_half += t_half
-    mean = (2.0 * acc_half - acc_s) / num_samples
+    mean = (2.0 * acc_half - acc_s) / config.num_samples
     a_bar = -mean[3, 3] / (m * m)
     c_bar = -mean[0, 0] / (m * m)
     b_bar = -mean[3, 0] / (m * m)
@@ -271,7 +269,7 @@ def averaged_gap_residual(config: ens.EnsembleConfig, s: float, z: complex,
     eq_c = abs(c_bar + c_bar * tr_inv / (m * m)) / abs(c_bar)
     eq_b = abs(b_bar - tr_b / (m * m)) / abs(b_bar)
     return GapResidualReport(
-        n=config.n, num_samples=num_samples, s=s, z=complex(z),
+        n=config.n, num_samples=config.num_samples, s=s, z=complex(z),
         a_bar=complex(a_bar), b_bar=complex(b_bar), c_bar=complex(c_bar),
         rel_ac=abs(a_bar - c_bar) / abs(a_bar),
         eq_a_residual=float(eq_a), eq_b_residual=float(eq_b), eq_c_residual=float(eq_c),
@@ -287,21 +285,18 @@ def _resolvent_trace(config: ens.EnsembleConfig, z: complex, idx: int):
     return z * np.trace(np.linalg.inv(z * z * np.eye(config.n) - phi)) / config.n
 
 
-def resolvent_vs_formula(config: ens.EnsembleConfig, z: complex,
-                         num_samples: int | None = None,
+def resolvent_vs_formula(config: ens.EnsembleConfig, z: complex, *,
                          threads: int | None = None) -> dict:
     """Monte Carlo (1/N) tr[z/(z^2 - A B)] against the solved z*G(z^2).
 
-    The draws are mapped as in ``averaged_gap_residual`` and summed in
-    sample-index order.
+    The ``config.num_samples`` draws are mapped as in
+    ``averaged_gap_residual`` and summed in sample-index order.
     """
-    if num_samples is None:
-        num_samples = config.num_samples
     acc = 0.0 + 0.0j
     for trace in _blas.map_samples(functools.partial(_resolvent_trace, config, z),
-                                   num_samples, threads):
+                                   config.num_samples, threads):
         acc += trace
-    mc = acc / num_samples
+    mc = acc / config.num_samples
     w = z * z
     sol = gapsolve.classify_phase(config.metric, w, config.m)
     predicted = z * sol.green
@@ -309,5 +304,5 @@ def resolvent_vs_formula(config: ens.EnsembleConfig, z: complex,
         "mc": complex(mc),
         "predicted": complex(predicted),
         "rel_deviation": float(abs(mc - predicted) / abs(predicted)),
-        "phase": sol.phase,
+        "phase": str(sol.phase),
     }

@@ -51,11 +51,10 @@ def eigenvalues(phi: np.ndarray) -> np.ndarray:
         raise EigensolveError(str(exc)) from exc
 
 
-def classify(eigs: np.ndarray, tol_factor: float = REAL_TOL_FACTOR,
-             seed: int = 0) -> SpectrumSample:
+def classify(eigs: np.ndarray, seed: int = 0) -> SpectrumSample:
     """Split a spectrum into real eigenvalues and conjugate pairs.
 
-    An eigenvalue is real when |Im| <= tol_factor * max|eig|.  The rest
+    An eigenvalue is real when |Im| <= REAL_TOL_FACTOR * max|eig|.  The rest
     are greedily matched to conjugate partners by nearest |lam - conj(mu)|;
     a leftover that finds no partner within PAIR_TOL_FACTOR * scale is a
     near-real pair split by rounding and gets reclassified as real (the
@@ -67,7 +66,7 @@ def classify(eigs: np.ndarray, tol_factor: float = REAL_TOL_FACTOR,
         return SpectrumSample(eigs=eigs, real_eigs=eigs.real.copy(),
                               pair_eigs=np.empty(0, complex),
                               tol_used=0.0, sample_seed=seed)
-    tol = tol_factor * scale
+    tol = REAL_TOL_FACTOR * scale
     real_mask = np.abs(eigs.imag) <= tol
     reals = list(eigs[real_mask].real)
     rest = eigs[~real_mask]

@@ -42,6 +42,7 @@ from .gapsolve import BranchPointProximity
 
 PATH_STEPS = 64
 START_RADIUS_FACTOR = 100.0   # continuation starts at 100/m
+CDF_GRID = 20001              # points of the real-band CDF's trapezoidal sum
 
 
 def _check(lam: float, m: float):
@@ -345,18 +346,18 @@ def rho_real_via_discontinuity(x, lam: float, m: float = 1.0, epsilon: float | N
     return float(out[0]) if scalar else out.reshape(x.shape)
 
 
-def real_band_cdf(lam: float, m: float = 1.0, grid: int = 20001):
+def real_band_cdf(lam: float, m: float = 1.0):
     """CDF of the real-eigenvalue density conditioned on being real.
 
     Returns a callable F with F(-x0) = 0 and F(x0) = 1, built by
-    trapezoidal accumulation of ``rho_real`` on a fine grid.  Undefined
+    trapezoidal accumulation of ``rho_real`` on CDF_GRID points.  Undefined
     at lam = 1/2 where the density vanishes identically.
     """
     _check(lam, m)
     if lam == 0.5:
         raise ValueError("real density is identically zero at lam = 1/2")
     x0 = band_edge(lam, m)
-    xs = np.linspace(-x0, x0, grid)
+    xs = np.linspace(-x0, x0, CDF_GRID)
     rho = rho_real(xs, lam, m)
     cum = np.concatenate([[0.0], np.cumsum((rho[1:] + rho[:-1]) / 2.0 * np.diff(xs))])
     cum /= cum[-1]

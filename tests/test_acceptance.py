@@ -186,7 +186,7 @@ def test_criterion_8_averaged_gap_equations():
     assert a2 > 0
     cfg = E.EnsembleConfig(n=64, m=1.0, metric=Signature(k=16, n=64),
                            master_seed=SEED, num_samples=500)
-    rep = H.averaged_gap_residual(cfg, 0.1, np.sqrt(w), 500)
+    rep = H.averaged_gap_residual(cfg, 0.1, np.sqrt(w))
     tol = THRESHOLDS["averaged_gap_rel"]
     ok = (rep.rel_ac <= tol and rep.eq_a_residual <= tol
           and rep.eq_b_residual <= tol and rep.eq_c_residual <= tol)

@@ -101,7 +101,7 @@ class TestHolomorphic:
         assert np.max(np.abs(b - _oracle_b(pts, lam))) <= 1e-10
 
     def test_scalar_wrapper(self):
-        sol = G.solve_holomorphic(SIG_QUARTER, 2.0 + 1.0j, 1.0)
+        sol = G.classify_phase(SIG_QUARTER, 2.0 + 1.0j, 1.0)
         assert sol.phase == G.HOLOMORPHIC
         assert sol.alpha == 0.0
         assert sol.residual <= 1e-10
@@ -120,8 +120,9 @@ class TestHolomorphic:
         assert coll.all()
 
     def test_band_collision_raises(self):
-        with pytest.raises(G.BranchPointProximity):
-            G.solve_holomorphic(SIG_QUARTER, 0.5 + 0.0j, 1.0)
+        # the track to a point on the band cannot tell two branches apart
+        _, _, _, coll = G.solve_holomorphic_batch(SIG_QUARTER, np.array([0.5 + 0.0j]), 1.0)
+        assert coll[0]
 
     def test_asymptotic_normalization(self):
         # (1/2 pi i) contour integral of G over a large circle equals 1
@@ -151,44 +152,50 @@ class TestHolomorphic:
 
 class TestNonholomorphic:
     def test_positive_definite_has_no_solution(self):
-        for w in (0.3 + 0.4j, 0.1j, 1.0 + 0.2j):
-            assert G.solve_nonholomorphic(IDENT, w, 1.0) is None
-        assert G.solve_nonholomorphic(M.ExplicitDiagonal([-1.0, -2.0]), 0.2j, 1.0) is None
+        pts = np.array([0.3 + 0.4j, 0.1j, 1.0 + 0.2j])
+        assert not G.solve_nonholomorphic_batch(IDENT, pts, 1.0)[3].any()
+        negative = M.ExplicitDiagonal([-1.0, -2.0])
+        assert not G.solve_nonholomorphic_batch(negative, np.array([0.2j]), 1.0)[3][0]
 
     def test_matches_closed_forms(self):
         lam = 0.25
         for w in (0.3 + 0.4j, 0.05 + 0.55j, -0.2 - 0.6j):
-            sol = G.solve_nonholomorphic(SIG_QUARTER, w, 1.0)
+            sol = G.classify_phase(SIG_QUARTER, w, 1.0)
             a2, beta = T.alpha_sq(w, lam, 1.0)
-            assert sol is not None
+            assert sol.phase == G.NONHOLOMORPHIC
             assert sol.alpha2 == pytest.approx(a2, abs=1e-8)
             assert sol.beta == pytest.approx(beta, abs=1e-8)
             assert sol.green == pytest.approx(T.green_nonholomorphic(w, 1.0), abs=1e-10)
             assert sol.b.real == 0.0
 
     def test_outside_blobs_none(self):
-        for w in (0.9 + 0.05j, 2.0j, 0.5 + 0.02j):
-            assert G.solve_nonholomorphic(SIG_QUARTER, w, 1.0) is None
+        pts = np.array([0.9 + 0.05j, 2.0j, 0.5 + 0.02j])
+        assert not G.solve_nonholomorphic_batch(SIG_QUARTER, pts, 1.0)[3].any()
 
     def test_disk_case(self):
-        sol = G.solve_nonholomorphic(SIG_HALF, 0.3 + 0.4j, 1.0)
-        assert sol is not None
+        sol = G.classify_phase(SIG_HALF, 0.3 + 0.4j, 1.0)
+        assert sol.phase == G.NONHOLOMORPHIC
         assert sol.alpha2 == pytest.approx(1.0 - 0.25, abs=1e-10)
         assert sol.beta == pytest.approx(0.0, abs=1e-10)
 
     def test_m_scaling(self):
         m = 2.0
-        sol = G.solve_nonholomorphic(M.Signature(k=16, n=64), (0.05 + 0.25j), m)
+        sol = G.classify_phase(M.Signature(k=16, n=64), (0.05 + 0.25j), m)
         a2, beta = T.alpha_sq(0.05 + 0.25j, 0.25, m)
+        assert sol.phase == G.NONHOLOMORPHIC
         assert sol.alpha2 == pytest.approx(a2, abs=1e-8)
 
     def test_batch_matches_scalar(self):
         pts = np.array([0.3 + 0.4j, 0.9 + 0.05j, 0.05 - 0.55j, 2.0 + 2.0j])
-        s, beta, res, ok = G.solve_nonholomorphic_batch(SIG_QUARTER, pts, 1.0)
+        batch = G.solve_nonholomorphic_batch(SIG_QUARTER, pts, 1.0)
+        s, beta, res, ok = batch
         for i, w in enumerate(pts):
-            sol = G.solve_nonholomorphic(SIG_QUARTER, complex(w), 1.0)
-            assert ok[i] == (sol is not None)
-            if sol is not None:
+            one = G.solve_nonholomorphic_batch(SIG_QUARTER, pts[i:i + 1], 1.0)
+            for a, b in zip(batch, one):
+                assert np.array_equal(a[i:i + 1], b, equal_nan=True)
+            sol = G.classify_phase(SIG_QUARTER, complex(w), 1.0)
+            assert ok[i] == (sol.phase == G.NONHOLOMORPHIC)
+            if ok[i]:
                 assert s[i] == pytest.approx(sol.alpha2, abs=1e-9)
 
     def test_tiny_imaginary_part_solves_as_on_axis(self):
@@ -206,7 +213,8 @@ class TestNonholomorphic:
         # solved point: Im/Re G_B(zeta) expressions against (alpha, beta)
         lam, m = 0.25, 1.0
         w = 0.1 + 0.5j
-        sol = G.solve_nonholomorphic(SIG_QUARTER, w, m)
+        sol = G.classify_phase(SIG_QUARTER, w, m)
+        assert sol.phase == G.NONHOLOMORPHIC
         x, y = w.real, w.imag
         gb = M.green_b(SIG_QUARTER, sol.zeta)
         bracket = 1.0 - m * m * (sol.alpha2 + sol.beta**2)
@@ -241,16 +249,18 @@ class TestClassifyAndBoundary:
             return np.asarray(b0, dtype=complex), np.ones(paths.shape[1], dtype=bool)
 
         monkeypatch.setattr(_roots, "track", collide)
-        sols = G.classify_grid(SIG_QUARTER, [0.5 + 0j, 2.0 + 1.0j, 0.3 + 0.4j], 1.0)
-        assert sols[:2] == [None, None]
-        assert sols[2].phase == G.NONHOLOMORPHIC
+        sol = G.classify_grid(SIG_QUARTER, [0.5 + 0j, 2.0 + 1.0j, 0.3 + 0.4j], 1.0)
+        assert sol.phase.tolist() == [G.UNRESOLVED, G.UNRESOLVED, G.NONHOLOMORPHIC]
+        for field in (sol.b, sol.alpha, sol.beta, sol.zeta, sol.green, sol.residual):
+            assert np.isnan(field).tolist() == [True, True, False]
+        assert sol.note.tolist() == ["", "", ""]
         with pytest.raises(G.BranchPointProximity):
             G.classify_phase(SIG_QUARTER, 0.5 + 0j, 1.0)
 
     def test_many_atom_cut_side_limit_solves(self):
         # 32 signed atoms: the side limit at -1.2 agrees with a point just above
         metric = M.ExplicitDiagonal(list(np.tile(_signed_atoms(32), 8)))
-        sol = G.classify_grid(metric, [-1.2 + 0j], 1.0)[0]
+        sol = G.classify_grid(metric, [-1.2 + 0j], 1.0).take(0)
         assert sol.note == "real-axis cut: upper side limit"
         _, g, _, coll = G.solve_holomorphic_batch(metric, np.array([-1.2 + 1e-6j]), 1.0)
         assert not coll[0]
@@ -259,8 +269,9 @@ class TestClassifyAndBoundary:
     def test_near_axis_points_take_their_own_side_limit(self):
         metric = M.Signature(k=64, n=256)
         pts = [0.3 + 1e-100j, 0.3 + 1e-15j, 0.3 - 1e-15j, 0.3 + 0j]
-        above, tiny, below, axis = G.classify_grid(metric, pts, 1.0)
-        assert [s.w for s in (above, tiny, below, axis)] == pts
+        sol = G.classify_grid(metric, pts, 1.0)
+        assert sol.w.tolist() == pts
+        above, tiny, below, axis = (sol.take(i) for i in range(4))
         for sol in (above, tiny, axis):
             assert sol.note == "real-axis cut: upper side limit"
             assert sol.green == axis.green
@@ -274,7 +285,7 @@ class TestClassifyAndBoundary:
 
     def test_boundary_vs_closed_form(self):
         lam = 0.25
-        bd = G.phase_boundary(SIG_QUARTER, [np.pi / 2, np.pi / 3], 1.0, tol=1e-9)
+        bd = G.phase_boundary(SIG_QUARTER, [np.pi / 2, np.pi / 3], 1.0)
         for theta, crossings in bd:
             rm, rp = T.boundary_radii(theta, lam, 1.0)
             assert len(crossings) == 2
@@ -282,7 +293,7 @@ class TestClassifyAndBoundary:
             assert crossings[1] == pytest.approx(rp, abs=1e-6)
 
     def test_boundary_disk(self):
-        bd = G.phase_boundary(SIG_HALF, [np.pi / 2], 1.0, tol=1e-9)
+        bd = G.phase_boundary(SIG_HALF, [np.pi / 2], 1.0)
         (theta, crossings) = bd[0]
         assert len(crossings) == 1
         assert crossings[0] == pytest.approx(1.0, abs=1e-6)
@@ -309,23 +320,55 @@ def test_grid_batch_matches_single_points(lam, pts):
     metric = SIGNATURES[lam]
     off_axis = [w for w in pts if w.imag != 0.0]
     batch = pts + [w.conjugate() for w in off_axis]
-    sols = G.classify_grid(metric, batch, 1.0)
+    grid = G.classify_grid(metric, batch, 1.0)
+    sols = [grid.take(i) for i in range(len(batch))]
     for w, sol in zip(batch, sols):
         try:
             one = G.classify_phase(metric, w, 1.0)
         except G.BranchPointProximity:
             one = None
-        assert (sol is None) == (one is None)
-        if sol is not None:
+        assert (sol.phase == G.UNRESOLVED) == (one is None)
+        if one is not None:
             assert sol.phase == one.phase
             assert abs(sol.alpha2 - one.alpha2) <= 1e-12
             assert abs(sol.green - one.green) <= 1e-12
     mirrored = dict(zip(batch, sols))
     for w in off_axis:
         a, b = mirrored[w], mirrored[w.conjugate()]
-        if a is not None and b is not None:
+        if G.UNRESOLVED not in (a.phase, b.phase):
             assert a.phase == b.phase
             assert abs(b.green - np.conj(a.green)) <= 1e-12
+
+
+def _collide_at(monkeypatch, target):
+    """Patch ``_roots.track`` to flag every track that ends at ``target``."""
+    track = _roots.track
+
+    def patched(mu, c, m, paths, b0):
+        b, coll = track(mu, c, m, paths, b0)
+        return b, coll | (paths[-1] == target)
+
+    monkeypatch.setattr(_roots, "track", patched)
+
+
+def test_a_point_that_collides_twice_is_unresolved_alone(monkeypatch):
+    """A point whose track collides on both attempts is UNRESOLVED with nan
+    numbers; every other point of the 5^2 grid keeps its solution."""
+    xs = np.linspace(-1.2, 1.2, 5)
+    W = (xs[:, None] + 1j * xs[None, :]).ravel()
+    paths_fn = lambda ws: T.continuation_paths(ws, 0.25, 1.0)
+    ref = G.classify_grid(SIG_QUARTER, W, 1.0, paths_fn=paths_fn)
+    k = 19                                   # 0.6 + 1.2i, holomorphic
+    assert ref.phase[k] == G.HOLOMORPHIC
+    _collide_at(monkeypatch, W[k])
+    sol = G.classify_grid(SIG_QUARTER, W, 1.0, paths_fn=paths_fn)
+    assert np.flatnonzero(sol.phase == G.UNRESOLVED).tolist() == [k]
+    assert sol.note[k] == "" and sol.w[k] == W[k]
+    others = np.arange(len(W)) != k
+    for name, got in vars(sol).items():
+        if name != "w" and got.dtype.kind in "fc":
+            assert np.isnan(got[k]), name
+        assert got[others].tobytes() == getattr(ref, name)[others].tobytes(), name
 
 
 def _atomic_metric(count, seed):
@@ -560,31 +603,33 @@ class TestTracker:
 
 
 def test_identity_checks_round_as_scalar_python():
-    """``structural_check`` and ``unified_check`` over columns give, point by
-    point, the bits of the scalar formulas, on betas where pow(beta, 2) and
-    beta * beta round apart and on products where a fused multiply-add would."""
+    """``structural_check`` and ``unified_check`` over a GapSolution of arrays
+    give, point by point, the bits of the scalar formulas, on betas where
+    pow(beta, 2) and beta * beta round apart and on products where a fused
+    multiply-add would."""
     rng = np.random.default_rng(5)
     xs = 4.0 * rng.normal(size=20000)
     betas = [x for x in xs.tolist() if x**2 != x * x][:8] + xs[:8].tolist()
-    sols = []
+    rows = []
     for k, beta in enumerate(betas):
         w = complex(*rng.normal(size=2))
         if k % 2:
             b = complex(*rng.normal(size=2))
-            sols.append(G.GapSolution(w, G.HOLOMORPHIC, b, 0.0, b.imag, -w / b,
-                                      complex(*rng.normal(size=2)), 0.0))
+            rows.append((w, G.HOLOMORPHIC, b, 0.0, b.imag, -w / b,
+                         complex(*rng.normal(size=2)), 0.0, ""))
         else:
-            sols.append(G.GapSolution(w, G.NONHOLOMORPHIC, complex(0.0, beta), abs(xs[-k]) / 100,
-                                      beta, complex(*rng.normal(size=2)),
-                                      complex(*rng.normal(size=2)), 0.0))
+            rows.append((w, G.NONHOLOMORPHIC, complex(0.0, beta), abs(xs[-k]) / 100,
+                         beta, complex(*rng.normal(size=2)),
+                         complex(*rng.normal(size=2)), 0.0, ""))
+    cols = G.GapSolution(*map(np.array, zip(*rows)))
     m = 1.3
     structural, unified = [], []
-    for s in sols:
+    # the scalar references run on Python numbers, not on numpy scalars
+    for s in (G.GapSolution(*row) for row in zip(*(v.tolist() for v in vars(cols).values()))):
         ab2 = -(s.alpha2 + s.beta**2) if s.phase == G.NONHOLOMORPHIC else complex(s.b) ** 2
         zg = s.zeta * M.green_b(SIG_QUARTER, s.zeta)
         structural.append(abs(s.w * s.green - (1.0 + m * m * ab2)))
         unified.append(max(abs(zg - (1.0 + m * m * ab2)), abs(s.w * s.green - zg)))
-    cols = G.columns(sols)
     assert G.structural_check(cols, m).tolist() == structural
     assert G.unified_check(cols, SIG_QUARTER, m).tolist() == unified
 
@@ -618,7 +663,8 @@ class TestDensityAndIdentities:
             assert G.unified_check(sol, SIG_QUARTER, m) <= 1e-8
 
     def test_unified_detects_perturbation(self):
-        sol = G.solve_holomorphic(SIG_QUARTER, 2.0 + 0.5j, 1.0)
+        sol = G.classify_phase(SIG_QUARTER, 2.0 + 0.5j, 1.0)
+        assert sol.phase == G.HOLOMORPHIC and not sol.note
         sol.b += 1e-3
         sol.zeta = -sol.w / sol.b
         assert G.unified_check(sol, SIG_QUARTER, 1.0) >= 1e-4
@@ -630,14 +676,14 @@ class TestDensityAndIdentities:
         for th in (np.pi / 2, 2 * np.pi / 3):
             rm, rp = T.boundary_radii(th, lam, m)
             e = np.exp(1j * th)
-            nh = G.solve_nonholomorphic(SIG_QUARTER, (rp - d) * e, m)
-            paths = T.continuation_paths(np.array([(rp + d) * e]), lam, m)
-            hol = G.solve_holomorphic(SIG_QUARTER, (rp + d) * e, m, paths=paths)
-            assert abs(nh.green - hol.green) <= 1e-5
-            nh_in = G.solve_nonholomorphic(SIG_QUARTER, (rm + d) * e, m)
-            paths = T.continuation_paths(np.array([(rm - d) * e]), lam, m)
-            hol_in = G.solve_holomorphic(SIG_QUARTER, (rm - d) * e, m, paths=paths)
-            assert abs(nh_in.green - hol_in.green) <= 1e-5
+            for r_nh, r_hol in ((rp - d, rp + d), (rm + d, rm - d)):
+                nh = G.classify_phase(SIG_QUARTER, r_nh * e, m)
+                assert nh.phase == G.NONHOLOMORPHIC
+                w_hol = np.array([r_hol * e])
+                paths = T.continuation_paths(w_hol, lam, m)
+                _, g, _, coll = G.solve_holomorphic_batch(SIG_QUARTER, w_hol, m, paths=paths)
+                assert not coll[0]
+                assert abs(nh.green - g[0]) <= 1e-5
 
     def test_conjugation_symmetry_of_green(self):
         for w in (0.4 + 0.3j, 0.1 + 0.5j, 1.5 + 1.0j):
@@ -650,14 +696,14 @@ class TestDensityAndIdentities:
         xs = np.linspace(-1.1, 1.1, 21)
         ys = np.linspace(-1.1, 1.1, 21)
         W = (xs[:, None] + 1j * ys[None, :]).ravel()
-        sols = G.classify_grid(SIG_QUARTER, W, 1.0,
-                               paths_fn=lambda ws: T.continuation_paths(ws, lam, 1.0))
-        for w, sol in zip(W, sols):
+        sol = G.classify_grid(SIG_QUARTER, W, 1.0,
+                              paths_fn=lambda ws: T.continuation_paths(ws, lam, 1.0))
+        for w, phase, alpha2 in zip(W, sol.phase, sol.alpha2):
             inside = bool(T.in_blobs(w, lam, 1.0)) if w.imag != 0 else False
-            assert (sol.phase == G.NONHOLOMORPHIC) == inside
+            assert (phase == G.NONHOLOMORPHIC) == inside
             if inside:
                 a2c, _ = T.alpha_sq(w, lam, 1.0)
-                assert sol.alpha2 == pytest.approx(a2c, abs=1e-8)
+                assert alpha2 == pytest.approx(a2c, abs=1e-8)
 
 
 class TestIslandGreen:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from phspec import _blas, cli, spectral
+from phspec import _blas, _roots, cli, spectral
 from phspec import ensemble as E
 from phspec import gapsolve as G
 from phspec import metric as M
@@ -45,16 +45,22 @@ def _scalar_unified(sol, metric, m):
     return float(max(abs(zg - rhs), abs(sol.w * sol.green - zg)))
 
 
+def _points(sol):
+    """The entries of a GapSolution of arrays as one-point GapSolutions of
+    Python numbers, the operands of scalar reference arithmetic."""
+    return [G.GapSolution(*row) for row in zip(*(v.tolist() for v in vars(sol).values()))]
+
+
 def _scalar_audit(metric, m, w, sols, step):
     """The checks of ``run_gap_grid``'s audit as a loop over the grid points
     in scalar arithmetic: name -> (passed, value)."""
     out = {}
-    res_max = max(s.residual for s in sols if s is not None)
+    res_max = max(s.residual for s in sols if s.phase != G.UNRESOLVED)
     out["solver_residual"] = (res_max <= THRESHOLDS["solver_residual"], res_max)
     worst_structural = 0.0
     worst_unified = 0.0
     for idx, s in enumerate(sols):
-        if s is None or s.note:
+        if s.phase == G.UNRESOLVED or s.note:
             continue
         if s.phase == G.NONHOLOMORPHIC:
             lhs = s.w * s.green - (1.0 - m * m * (s.alpha2 + s.beta**2))
@@ -74,7 +80,7 @@ def _scalar_audit(metric, m, w, sols, step):
         worst_a2 = 0.0
         misclass_far = 0
         for wpt, s in zip(w, sols):
-            if s is None:
+            if s.phase == G.UNRESOLVED:
                 continue
             inside = bool(T.in_blobs(wpt, lam, m)) if wpt.imag != 0 else False
             if (s.phase == G.NONHOLOMORPHIC) != inside:
@@ -133,6 +139,12 @@ class TestConfig:
     def test_unrealizable_metric(self, tmp_path):
         with pytest.raises(Exception):
             make_cfg(tmp_path, metric={"type": "signature", "k": 2, "n": 8}, n=32)
+
+    @pytest.mark.parametrize("points", [1, 0, -3])
+    def test_grid_needs_two_points_per_axis(self, tmp_path, points):
+        with pytest.raises(C.ConfigError):
+            make_cfg(tmp_path, experiment="gap_grid", grid_points=points)
+        assert make_cfg(tmp_path, experiment="gap_grid", grid_points=2).grid_points == 2
 
     def test_sweep_needs_lambdas(self, tmp_path):
         with pytest.raises(ValueError):
@@ -204,7 +216,7 @@ class TestCsv:
 
     def test_header_and_roundtrip(self, tmp_path):
         p = tmp_path / "x.csv"
-        io.write_csv(p, ["a", "b"], [(1.0 / 3.0, 2), (0.1, -3)])
+        io.write_csv(p, ["a", "b"], [(1.0 / 3.0, 0.1), (2, -3)])
         lines = p.read_text().splitlines()
         assert lines[0] == "a,b"
         assert float(lines[1].split(",")[0]) == 1.0 / 3.0   # shortest round trip
@@ -289,9 +301,9 @@ class TestExperiments:
         monkeypatch.setattr(G, "classify_grid", recorded)
         cfg = make_cfg(tmp_path, experiment="gap_grid", metric=metric, n=n, grid_points=points)
         rep = X.run_gap_grid(cfg)
-        (w, sols), = grids
+        (w, sol), = grids
         xs = np.linspace(-1.2, 1.2, points)
-        expected = _scalar_audit(cfg.metric, 1.0, w, sols, xs[1] - xs[0])
+        expected = _scalar_audit(cfg.metric, 1.0, w, _points(sol), xs[1] - xs[0])
         assert len(expected) == (5 if isinstance(cfg.metric, M.Signature) else 3)
         for name, (ok, value) in expected.items():
             assert rep.checks[name] == ok, name
@@ -308,11 +320,11 @@ class TestExperiments:
         classify = G.classify_grid
 
         def with_nan(metric, w, m, paths_fn=None):
-            sols = classify(metric, w, m, paths_fn=paths_fn)
-            idx = [i for i, s in enumerate(sols) if s is not None and not s.note]
-            deep = max((i for i in idx[1:] if i % 7 == 0), key=lambda i: sols[i].alpha2)
-            setattr(sols[deep], field, complex(np.nan) if field == "green" else np.nan)
-            return sols
+            sol = classify(metric, w, m, paths_fn=paths_fn)
+            idx = np.flatnonzero((sol.phase != G.UNRESOLVED) & (sol.note == ""))
+            deep = max((i for i in idx[1:] if i % 7 == 0), key=lambda i: sol.alpha2[i])
+            getattr(sol, field)[deep] = np.nan
+            return sol
 
         monkeypatch.setattr(G, "classify_grid", with_nan)
         cfg = make_cfg(tmp_path, experiment="gap_grid", grid_points=21)
@@ -321,14 +333,44 @@ class TestExperiments:
         assert all(np.isnan(rep.metrics[name]) for name in failing)
 
     def test_gap_grid_without_solutions_reports_unresolved(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(G, "classify_grid", lambda metric, w, m, paths_fn=None: [None] * len(w))
-        cfg = make_cfg(tmp_path, experiment="gap_grid", grid_points=5)
+        # a definite metric has no non-holomorphic points, and every track collides
+        monkeypatch.setattr(_roots, "track", lambda mu, c, m, paths, b0: (
+            np.asarray(b0, dtype=complex), np.ones(paths.shape[1], dtype=bool)))
+        cfg = make_cfg(tmp_path, experiment="gap_grid", grid_points=5,
+                       metric={"type": "signature", "k": 32, "n": 32})
         rep = X.run_gap_grid(cfg)
         assert not rep.checks["unresolved_fraction"]
         assert rep.metrics["unresolved_fraction"] == 1.0
         out = tmp_path / "out"
         assert (out / "gap_grid.csv").read_text() == "x,y,phase,alpha2,re_b,im_b,re_G,im_G,residual\n"
         assert json.loads((out / "report.json").read_text())["checks"] == rep.checks
+
+    def test_gap_grid_omits_an_unresolved_point(self, tmp_path, monkeypatch):
+        # the track to one point of a 5^2 grid collides on both attempts
+        xs = np.linspace(-1.2, 1.2, 5)
+        target = (xs[:, None] + 1j * xs[None, :]).ravel()[19]     # 0.6 + 1.2i
+        track = _roots.track
+
+        def collide_at_target(mu, c, m, paths, b0):
+            b, coll = track(mu, c, m, paths, b0)
+            return b, coll | (paths[-1] == target)
+
+        ref = X.run_gap_grid(make_cfg(tmp_path, experiment="gap_grid", grid_points=5,
+                                      out_dir=str(tmp_path / "ref")))
+        monkeypatch.setattr(_roots, "track", collide_at_target)
+        rep = X.run_gap_grid(make_cfg(tmp_path, experiment="gap_grid", grid_points=5))
+        lines = (tmp_path / "out" / "gap_grid.csv").read_text().splitlines()
+        ref_lines = (tmp_path / "ref" / "gap_grid.csv").read_text().splitlines()
+        x, y = float(target.real), float(target.imag)
+        assert ref_lines[20].startswith(f"{x!r},{y!r},holomorphic,")
+        assert lines == ref_lines[:20] + ref_lines[21:]
+        assert rep.metrics["unresolved_fraction"] == 1 / 25
+        assert not rep.checks["unresolved_fraction"]
+        audit = ("solver_residual", "structural_identity", "unified_invariant",
+                 "alpha2_vs_closed_form", "classification_boundary_band")
+        for name in audit:
+            assert not np.isnan(rep.metrics[name]), name
+            assert rep.checks[name] == ref.checks[name], name
 
     def test_semicircle_small(self, tmp_path):
         cfg = make_cfg(tmp_path, experiment="semicircle",

@@ -143,7 +143,7 @@ class TestAveragedGap:
         cfg = E.EnsembleConfig(n=32, m=1.0, metric=M.Signature(k=8, n=32),
                                master_seed=5, num_samples=150)
         w = 0.05 + 0.55j
-        rep = H.averaged_gap_residual(cfg, 0.1, np.sqrt(w), 150)
+        rep = H.averaged_gap_residual(cfg, 0.1, np.sqrt(w))
         assert rep.rel_ac <= 1e-12          # exact per-sample for real diagonal B
         assert rep.adjoint_residual <= 1e-12
         assert rep.re11_over_mag <= 1e-12
@@ -154,7 +154,7 @@ class TestAveragedGap:
         cfg = E.EnsembleConfig(n=64, m=1.0, metric=M.Signature(k=16, n=64),
                                master_seed=6, num_samples=200)
         w = 0.05 + 0.55j
-        rep = H.averaged_gap_residual(cfg, 0.1, np.sqrt(w), 200)
+        rep = H.averaged_gap_residual(cfg, 0.1, np.sqrt(w))
         a2, beta = T.alpha_sq(w, 0.25, 1.0)
         assert rep.a_bar.imag == pytest.approx(np.sqrt(a2), abs=0.05)
         assert rep.b_bar.imag == pytest.approx(beta, abs=0.05)
@@ -162,7 +162,7 @@ class TestAveragedGap:
     def test_bits_independent_of_threads(self):
         cfg = E.EnsembleConfig(n=32, m=1.0, metric=M.Signature(k=8, n=32),
                                master_seed=5, num_samples=12)
-        one, two = (H.averaged_gap_residual(cfg, 0.1, np.sqrt(0.05 + 0.55j), 12, threads=t)
+        one, two = (H.averaged_gap_residual(cfg, 0.1, np.sqrt(0.05 + 0.55j), threads=t)
                     for t in (1, 2))
         assert one.as_dict() == two.as_dict()
 
@@ -184,7 +184,7 @@ class TestResolventMc:
         cfg = E.EnsembleConfig(n=64, m=1.0, metric=M.Signature(k=64, n=64),
                                master_seed=10, num_samples=200)
         z = np.sqrt(3.0)
-        rep = H.resolvent_vs_formula(cfg, z, 200)
+        rep = H.resolvent_vs_formula(cfg, z)
         assert rep["phase"] == "holomorphic"
         assert rep["predicted"] == pytest.approx(z * T.gue_green(3.0 + 0j, 1.0), abs=1e-10)
         assert rep["rel_deviation"] <= 0.03
@@ -192,12 +192,23 @@ class TestResolventMc:
     def test_bits_independent_of_threads(self):
         cfg = E.EnsembleConfig(n=32, m=1.0, metric=M.Signature(k=8, n=32),
                                master_seed=12, num_samples=12)
-        one, two = (H.resolvent_vs_formula(cfg, 0.8 + 0.3j, 12, threads=t) for t in (1, 2))
+        one, two = (H.resolvent_vs_formula(cfg, 0.8 + 0.3j, threads=t) for t in (1, 2))
         assert one == two
 
     def test_large_w_trivial(self):
         cfg = E.EnsembleConfig(n=32, m=1.0, metric=M.Signature(k=8, n=32),
                                master_seed=12, num_samples=50)
         z = 4.0 + 0.0j
-        rep = H.resolvent_vs_formula(cfg, z, 50)
+        rep = H.resolvent_vs_formula(cfg, z)
         assert rep["mc"] == pytest.approx(1.0 / z, abs=0.01)
+
+
+def test_a_stale_positional_sample_count_is_refused():
+    """The sample count comes from the config; a fourth positional argument
+    raises instead of being taken as ``threads``."""
+    cfg = E.EnsembleConfig(n=8, m=1.0, metric=M.Signature(k=2, n=8),
+                           master_seed=5, num_samples=4)
+    with pytest.raises(TypeError):
+        H.averaged_gap_residual(cfg, 0.1, 0.3 + 0.4j, 500)
+    with pytest.raises(TypeError):
+        H.resolvent_vs_formula(cfg, 0.3 + 0.4j, 500)
