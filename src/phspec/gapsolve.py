@@ -44,7 +44,9 @@ evaluates it as an independent residual against the metric's Cauchy
 transform.
 
 ``classify_grid`` returns one ``GapSolution`` of arrays, entry i for
-point i, which the audit and the CSV writer read as it is.
+point i, which the audit and the CSV writer read as it is.  Its
+holomorphic points share one tracker walk, the real-axis side limits
+included; only off-axis points whose track collided are walked again.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ START_RADIUS_FACTOR = 100.0
 NEWTON_TOL = 1e-10
 NEWTON_RESTARTS = 4
 NEWTON_ITERS = 40
+HALVINGS = 12
 TINY_IM = 1e-150
 TRACELESS_TOL = 1e-14
 FLAT_QUAD_NODES = 64
@@ -139,15 +142,14 @@ def _terms(metric: Metric):
 # holomorphic phase
 # ---------------------------------------------------------------------------
 
-def _default_paths(w: np.ndarray, metric: Metric, m: float) -> np.ndarray:
+def _default_paths(w: np.ndarray, metric: Metric, m: float) -> _roots.Paths:
     """Geometric rays from far outside the spectrum, ending exactly at each target."""
     start = START_RADIUS_FACTOR * max(
         2.0 * metric_mod.support_radius(metric) / m, float(np.max(np.abs(w), initial=0.0))
     )
-    t = np.linspace(0.0, 1.0, PATH_STEPS + 1)[:, None]
     r = np.maximum(np.abs(w), 1e-12 * start)   # keep w = 0 off the division
-    ray = (r[None, :] * (start / r)[None, :] ** (1.0 - t)) * np.exp(1j * np.angle(w))[None, :]
-    return np.concatenate([ray, w[None, :]])
+    theta = np.angle(w)
+    return _roots.Paths(w, r, start, theta, theta, hold=0, ray=PATH_STEPS + 1, arc=0)
 
 
 def _bh_residual(mu, c, w, b, m: float):
@@ -161,13 +163,14 @@ def _holomorphic_green(mu, c, w, b):
 
 
 def solve_holomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0,
-                            paths: np.ndarray | None = None):
+                            paths: _roots.Paths | None = None):
     """Branch-tracked holomorphic solutions over a batch of points.
 
-    ``paths`` overrides the default straight-ray continuation with
-    explicit waypoints (shape (L, len(w)), ending at w); callers that
-    know the geometry of the non-holomorphic region use this to route
-    around it, since continuation through it can end on a wrong sheet.
+    ``paths`` overrides the default straight-ray continuation with other
+    paths ending at w (a ``_roots.Paths`` record, one entry per point);
+    callers that know the geometry of the non-holomorphic region use this
+    to route around it, since continuation through it can end on a wrong
+    sheet.
 
     Returns (b, green, residual, collided) arrays; ``collided`` flags
     points whose track could not tell two branches apart (branch-point
@@ -181,7 +184,7 @@ def solve_holomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0,
         return b, _holomorphic_green(mu, c, w, b), np.zeros(len(w)), np.zeros(len(w), dtype=bool)
     if paths is None:
         paths = _default_paths(w, metric, m)
-    b, collided = _roots.track(mu, c, m, paths, -tr / (m * m * paths[0]))
+    b, collided = _roots.track(mu, c, m, paths, -tr / (m * m * paths.row(0)))
     res = np.abs(_bh_residual(mu, c, w, b, m))
     return b, _holomorphic_green(mu, c, w, b), res, collided
 
@@ -250,25 +253,20 @@ def _newton_batch(mu, wt, x, y, s, beta, m):
     mu2 = mu * mu
     res = np.full(n, np.inf)
 
-    def fjac(s_, beta_, xa, ya):
-        e = xa[:, None] ** 2 + (ya[:, None] + beta_[:, None] * mu) ** 2 + s_[:, None] * mu2
+    def residual(s_, beta_, xa, ya):
+        shift = ya[:, None] + beta_[:, None] * mu
+        e = xa[:, None] ** 2 + shift ** 2 + s_[:, None] * mu2
         bad = np.any(e <= 0.0, axis=1) | ~np.all(np.isfinite(e), axis=1)
         inv = np.where(e > 0.0, 1.0 / np.where(e > 0.0, e, 1.0), 0.0)
         f1 = (wt * mu2 * inv).sum(axis=1) / (m * m) - 1.0
         f2 = (wt * mu * inv).sum(axis=1)
-        de_db = 2.0 * mu * (ya[:, None] + beta_[:, None] * mu)
-        inv2 = inv * inv
-        j11 = -(wt * mu2 * mu2 * inv2).sum(axis=1) / (m * m)
-        j12 = -(wt * mu2 * de_db * inv2).sum(axis=1) / (m * m)
-        j21 = -(wt * mu * mu2 * inv2).sum(axis=1)
-        j22 = -(wt * mu * de_db * inv2).sum(axis=1)
-        return f1, f2, j11, j12, j21, j22, bad
+        return f1, f2, bad, inv, shift
 
     for _ in range(NEWTON_ITERS):
         if not np.any(act):
             break
         ia = np.flatnonzero(act)
-        f1, f2, j11, j12, j21, j22, bad = fjac(s[ia], beta[ia], x[ia], y[ia])
+        f1, f2, bad, inv, shift = residual(s[ia], beta[ia], x[ia], y[ia])
         norm = np.maximum(np.abs(f1), np.abs(f2))
         res[ia] = np.where(bad, np.inf, norm)
         stop = (norm <= NEWTON_TOL) | bad
@@ -276,7 +274,14 @@ def _newton_batch(mu, wt, x, y, s, beta, m):
         ia = ia[~stop]
         if len(ia) == 0:
             continue
-        f1, f2, j11, j12, j21, j22 = (v[~stop] for v in (f1, f2, j11, j12, j21, j22))
+        f1, f2, inv, shift = (v[~stop] for v in (f1, f2, inv, shift))
+        de_db = 2.0 * mu * shift
+        inv2 = inv * inv
+        j11 = -(wt * mu2 * mu2 * inv2).sum(axis=1) / (m * m)
+        j12 = -(wt * mu2 * de_db * inv2).sum(axis=1) / (m * m)
+        j21 = -(wt * mu * mu2 * inv2).sum(axis=1)
+        j22 = -(wt * mu * de_db * inv2).sum(axis=1)
+        del inv, shift, de_db, inv2   # no (n, atoms) array outlives the sums
         det = j11 * j22 - j12 * j21
         sing = np.abs(det) < 1e-300
         det = np.where(sing, 1.0, det)
@@ -285,16 +290,26 @@ def _newton_batch(mu, wt, x, y, s, beta, m):
         ds[sing] = 0.0
         db[sing] = 0.0
         act[ia[sing]] = False
-        # step halving until the denominators stay positive and residual drops
-        t = np.ones(len(ia))
+        # step halving until the denominators stay positive and residual
+        # drops: the full step first, then every halving down to
+        # 2^-(HALVINGS-1) at once for the rows it fails, in calls of at most
+        # as many rows as the full step's; a row takes its first step that
+        # passes, else 2^-HALVINGS
         phi0 = f1 * f1 + f2 * f2
-        for _ in range(12):
-            cs, cb = s[ia] + t * ds, beta[ia] + t * db
-            g1, g2, *_rest, bad2 = fjac(cs, cb, x[ia], y[ia])
-            worse = bad2 | (g1 * g1 + g2 * g2 > phi0)
-            if not np.any(worse):
-                break
-            t = np.where(worse, t / 2.0, t)
+
+        def fails(t, k):
+            i = ia[k]
+            g1, g2, bad2, *_ = residual(s[i] + t * ds[k], beta[i] + t * db[k], x[i], y[i])
+            return bad2 | (g1 * g1 + g2 * g2 > phi0[k])
+
+        t = np.ones(len(ia))
+        k = np.flatnonzero(fails(t, np.arange(len(ia))))
+        half = 0.5 ** np.arange(1, HALVINGS)
+        chunk = max(len(ia) // len(half), 1)
+        for lo in range(0, len(k), chunk):
+            kk = k[lo:lo + chunk]
+            bad = fails(np.tile(half, len(kk)), np.repeat(kk, len(half))).reshape(len(kk), -1)
+            t[kk] = np.where(bad.all(axis=1), 0.5 ** HALVINGS, half[np.argmin(bad, axis=1)])
         s[ia] = s[ia] + t * ds
         beta[ia] = beta[ia] + t * db
     ok = res <= NEWTON_TOL
@@ -336,17 +351,18 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> GapSoluti
 
     One ``solve_nonholomorphic_batch`` call settles the non-holomorphic
     points; the others take at most two ``solve_holomorphic_batch``
-    calls.  The first call continues real-axis points along default rays
-    and every other point along ``paths_fn(w_subset) -> (L,
-    len(w_subset))`` when given: blob-avoiding waypoints ending at w,
-    from a caller that knows the geometry, e.g. for signature metrics.  A
-    point counts as on the real axis when |Im w| is below the imaginary
-    offset of the side limit.  One retry then covers every point whose
-    track collided.  A real-axis point is retried just off the cut on its
-    own side (above for Im w = 0), and that upper or lower side limit is
-    returned, marked in ``note``; any other point is retried on default
-    rays.  A point that collides again gets phase UNRESOLVED and nan
-    numbers.
+    calls.  A point counts as on the real axis when |Im w| is below the
+    imaginary offset of the side limit.  The first call walks every other
+    point along ``paths_fn(w_subset) -> _roots.Paths`` when given
+    (blob-avoiding paths ending at w, from a caller that knows the
+    geometry, e.g. for signature metrics) and along default rays
+    otherwise; in the same walk every real-axis point is tracked twice, on
+    a default ray to the point itself and on a default ray to its side
+    limit just off the cut on its own side (above for Im w = 0).  Where
+    the first track collides, the side limit is returned, marked in
+    ``note``.  One retry on default rays then covers the off-axis points
+    whose track collided.  A point whose last track collides gets phase
+    UNRESOLVED and nan numbers.
     """
     w = np.asarray(w, dtype=complex).ravel()
     s, beta, res, success = solve_nonholomorphic_batch(metric, w, m)
@@ -358,23 +374,32 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> GapSoluti
     eps = 1e-9 * max(1.0, 2.0 * metric_mod.support_radius(metric) / m)
     on_axis = np.abs(wr.imag) < 1e-3 * eps
     lower = wr.imag < 0.0
-    paths = None
-    if paths_fn is not None:
+    axis = np.flatnonzero(on_axis)
+    wa = wr[axis]
+    limit = (wa.real + eps * np.where(wa.real >= 0.0, 1.0, -1.0)
+             + 1j * 1e-3 * eps * np.where(lower[axis], -1.0, 1.0))
+    if paths_fn is None:
+        paths = _default_paths(wr, metric, m)
+    else:
         paths = paths_fn(wr)
-        if np.any(on_axis):
-            rays = _default_paths(wr[on_axis], metric, m)
-            if len(paths) < len(rays):
-                paths = _hold_start(paths, len(rays))
-            paths[:, on_axis] = _hold_start(rays, len(paths))
-    b, green, hres, collided = solve_holomorphic_batch(metric, wr, m, paths=paths)
+        rays = _default_paths(wa, metric, m)
+        # the rays hold their start until they are as long as the longest path
+        rays.hold = np.maximum(paths.last.max(initial=0) - rays.last, 0)
+        paths.put(axis, rays)
+    paths = _roots.Paths.concat([paths, _default_paths(limit, metric, m)])
+    b, green, hres, collided = solve_holomorphic_batch(metric, np.concatenate([wr, limit]), m,
+                                                       paths=paths)
+    side = len(wr) + np.arange(len(axis))
+    hit = collided[axis]
     wh = wr.copy()              # where each holomorphic solution was evaluated
-    redo = np.flatnonzero(collided)
+    wh[axis[hit]] = limit[hit]
+    for v in (b, green, hres, collided):
+        v[axis[hit]] = v[side[hit]]
+    b, green, hres, collided = (v[:len(wr)] for v in (b, green, hres, collided))
+    redo = np.flatnonzero(collided & ~on_axis)
     if len(redo):
-        limit = (wr.real + eps * np.where(wr.real >= 0.0, 1.0, -1.0)
-                 + 1j * 1e-3 * eps * np.where(lower, -1.0, 1.0))
-        wh[redo] = np.where(on_axis[redo], limit[redo], wr[redo])
         b[redo], green[redo], hres[redo], collided[redo] = solve_holomorphic_batch(
-            metric, wh[redo], m)
+            metric, wr[redo], m)
     nan = np.full(len(w), np.nan)
     sol = GapSolution(w=w, phase=np.where(success, NONHOLOMORPHIC, UNRESOLVED), b=nan + 0j,
                       alpha=nan.copy(), beta=nan.copy(), zeta=nan + 0j, green=nan + 0j,
@@ -398,11 +423,6 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> GapSoluti
     side = good & (wh != wr)    # side limits, solved off the cut
     sol.note[rest[side]] = _NOTES[1 + lower[side]]
     return sol
-
-
-def _hold_start(paths: np.ndarray, rows: int) -> np.ndarray:
-    """Pad to ``rows`` waypoints by holding the start, which keeps the tracked branch."""
-    return np.concatenate([np.repeat(paths[:1], rows - len(paths), axis=0), paths])
 
 
 def phase_boundary(metric: Metric, thetas, m: float = 1.0) -> list[tuple[float, list[float]]]:

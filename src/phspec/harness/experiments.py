@@ -330,12 +330,11 @@ def run_gap_grid(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> None:
 
     if is_sig and 0.0 < lam < 1.0:
         worst_bd = 0.0
-        for th in (np.pi / 2, np.pi / 3, 2 * np.pi / 3):
-            radii = theory.boundary_radii(th, lam, m)
-            if radii is None:
-                continue
-            found = gapsolve.phase_boundary(cfg.metric, [th], m)[0][1]
-            for r_closed in radii:
+        rays = [th for th in (np.pi / 2, np.pi / 3, 2 * np.pi / 3)
+                if theory.boundary_radii(th, lam, m) is not None]
+        # one lockstep scan; each ray's brackets bisect on their own
+        for th, found in gapsolve.phase_boundary(cfg.metric, rays, m):
+            for r_closed in theory.boundary_radii(th, lam, m):
                 worst_bd = max(worst_bd,
                                min(abs(r_closed - r) for r in found)
                                if found else np.inf)

@@ -1,7 +1,9 @@
 """Deterministic CSV emitters (shortest round-trip floats, '.' decimals).
 
-``write_csv`` takes columns and formats each at once: ints by ``str``,
-strings as they are, anything else by ``repr`` of each distinct float.
+``write_csv`` takes columns and formats them a block of CSV_BLOCK_ROWS
+rows at a time: ints by ``str``, strings as they are, anything else by
+``repr`` of each distinct float.  Only one block is held as text, so a
+large grid costs no more memory to write than its arrays.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import os
 
 import numpy as np
+
+CSV_BLOCK_ROWS = 2048
 
 
 def _column_text(col: list):
@@ -26,14 +30,19 @@ def _column_text(col: list):
 
 
 def write_csv(path, header: list[str], columns) -> None:
-    """Write ``header`` and ``columns`` (sequences of equal length) in one write."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    if len(set(map(len, columns))) > 1:
+    """Write ``header`` and ``columns`` (sequences of equal length), one
+    write per block of CSV_BLOCK_ROWS rows."""
+    columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
         raise ValueError("CSV columns differ in length")
-    lines = map(",".join, zip(*map(_column_text, columns)))
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([",".join(header), *lines]) + "\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, max(lengths, default=0), CSV_BLOCK_ROWS):
+            block = [c[lo:lo + CSV_BLOCK_ROWS] for c in columns]
+            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            fh.write("\n".join(map(",".join, zip(*map(_column_text, block)))) + "\n")
 
 
 def write_hist1d_csv(path, hist) -> None:

@@ -232,15 +232,15 @@ def gue_green(w, m: float = 1.0):
 # branch-tracked cubic
 # ---------------------------------------------------------------------------
 
-def continuation_paths(w: np.ndarray, lam: float, m: float) -> np.ndarray:
-    """Per-point blob-avoiding paths from the start radius to w, shape (L, n).
+def continuation_paths(w: np.ndarray, lam: float, m: float) -> _roots.Paths:
+    """Per-point blob-avoiding paths from the start radius to w, as a record.
 
     Ray-only where the straight ray stays clear of the blobs; cone ray
-    plus circular arc for targets below a blob.  The ray and arc keep a
-    radius of at least 1e-12 of the start radius, and w itself is the
-    last waypoint.  Also
-    usable as the explicit-waypoint input of the generic gap solver when
-    it runs on a signature metric.
+    plus circular arc for targets below a blob.  Every point gets
+    PATH_STEPS + 1 ray rows and as many arc rows (a constant arc where it
+    needs none), then w itself.  The ray and arc keep a radius of at least
+    1e-12 of the start radius.  Also usable as the path input of the
+    generic gap solver when it runs on a signature metric.
     """
     theta = np.angle(w)
     s0 = sin_theta0(lam)
@@ -263,13 +263,8 @@ def continuation_paths(w: np.ndarray, lam: float, m: float) -> np.ndarray:
         np.sign(theta) * (np.pi - s0_half_angle(lam)),
     )
     theta_start = np.where(needs_arc, theta_c, theta)
-
-    t = np.linspace(0.0, 1.0, PATH_STEPS + 1)[:, None]
-    radii = r[None, :] * (start_r / r)[None, :] ** (1.0 - t)       # geometric descent
-    ray = radii * np.exp(1j * theta_start)[None, :]
-    angles = theta_start[None, :] + t * (theta - theta_start)[None, :]
-    arc = r[None, :] * np.exp(1j * angles)
-    return np.concatenate([ray, arc, w[None, :]], axis=0)
+    return _roots.Paths(w, r, start_r, theta_start, theta, hold=0, ray=PATH_STEPS + 1,
+                        arc=PATH_STEPS + 1)
 
 
 def s0_half_angle(lam: float) -> float:
@@ -298,7 +293,7 @@ def holomorphic_b(w, lam: float, m: float = 1.0):
         raise ValueError("holomorphic branch requested inside the blobs")
     mu, c = np.array([1.0, -1.0]), np.array([lam, 1.0 - lam])
     path = continuation_paths(w, lam, m)
-    asym = (1.0 - 2.0 * lam) / (m * m * path[0])
+    asym = (1.0 - 2.0 * lam) / (m * m * path.row(0))
     b, failed = _roots.track(mu[c > 0], c[c > 0], m, path, asym)
     if np.any(failed):
         raise BranchPointProximity(

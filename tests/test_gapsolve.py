@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import warnings
 
@@ -51,8 +52,28 @@ def _oracle_track(path, lam, m=1.0, refine=64):
     return b
 
 
+def _table(paths):
+    """Every waypoint row of a path record, shape (max last + 1, n), each row
+    evaluated by the record's own row evaluator; rows past a point's last
+    repeat its target."""
+    return np.array([paths.row(k) for k in range(int(paths.last.max()) + 1)])
+
+
+class _Waypoints:
+    """An explicit (L, n) waypoint table behind the path interface of
+    ``_roots.track``: every point walks all L rows."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=complex)
+        self.w = self.table[-1]
+        self.last = np.full(self.table.shape[1], len(self.table) - 1)
+
+    def rows(self, k, idx):
+        return self.table[k, idx]
+
+
 def _oracle_b(w, lam, m=1.0):
-    return _oracle_track(T.continuation_paths(w, lam, m), lam, m)
+    return _oracle_track(_table(T.continuation_paths(w, lam, m)), lam, m)
 
 
 def _signed_atoms(count):
@@ -109,8 +130,8 @@ class TestHolomorphic:
 
     def test_paths_end_exactly_at_tiny_targets(self):
         pts = np.array([1e-12j, 1e-10j])
-        assert np.array_equal(G._default_paths(pts, SIG_QUARTER, 1.0)[-1], pts)
-        assert np.array_equal(T.continuation_paths(pts, 0.25, 1.0)[-1], pts)
+        assert np.array_equal(_table(G._default_paths(pts, SIG_QUARTER, 1.0))[-1], pts)
+        assert np.array_equal(_table(T.continuation_paths(pts, 0.25, 1.0))[-1], pts)
         _, _, res, coll = G.solve_holomorphic_batch(SIG_QUARTER, pts, 1.0)
         assert not coll.any()
         assert np.max(res) <= 1e-9
@@ -243,10 +264,11 @@ class TestClassifyAndBoundary:
         assert sol.green.imag == pytest.approx(-np.pi * rho, abs=1e-4)
 
     def test_cut_side_limit_collision_is_unresolved(self, monkeypatch):
-        # a track that collides on the first attempt and on the side-limit
-        # retry leaves the point unresolved instead of aborting the grid
+        # a track that collides on the axis and on the side limit, or on
+        # its path and on the retry, leaves the point unresolved instead of
+        # aborting the grid
         def collide(mu, c, m, paths, b0):
-            return np.asarray(b0, dtype=complex), np.ones(paths.shape[1], dtype=bool)
+            return np.asarray(b0, dtype=complex), np.ones(len(paths.w), dtype=bool)
 
         monkeypatch.setattr(_roots, "track", collide)
         sol = G.classify_grid(SIG_QUARTER, [0.5 + 0j, 2.0 + 1.0j, 0.3 + 0.4j], 1.0)
@@ -346,7 +368,7 @@ def _collide_at(monkeypatch, target):
 
     def patched(mu, c, m, paths, b0):
         b, coll = track(mu, c, m, paths, b0)
-        return b, coll | (paths[-1] == target)
+        return b, coll | (paths.w == target)
 
     monkeypatch.setattr(_roots, "track", patched)
 
@@ -423,18 +445,23 @@ def _gamma_second_moment(q, fb, c):
 
 
 def _plain_track(mu, c, m, paths, b0, gamma):
-    """``_roots.track`` with its step written plainly: the current waypoint
+    """``_roots.track`` with its step written plainly on the materialised
+    waypoint table of the path record ``paths``: the current waypoint
     re-interpolated, c/mu and the squared pole terms re-formed on every
     iteration, and Smale's gamma bounded by ``gamma(q, f', c)``.  With the
     tracker's bound the fused tracker must return the same bits."""
     mu, c = np.asarray(mu, dtype=float), np.asarray(c, dtype=float)
-    paths = np.asarray(paths, dtype=complex)
-    last, n = paths.shape[0] - 1, paths.shape[1]
+    last = paths.last
+    paths = _table(paths)
+    n = paths.shape[1]
     m2 = m * m
+
+    def dot(a, v):   # a single row as the first of two, as the tracker sums it
+        return (np.concatenate([a, a]) @ v)[:1] if len(a) == 1 else a @ v
 
     def terms(w, b):
         q = 1.0 / (b[:, None] + w[:, None] / mu)
-        return q, m2 * b + q @ c, m2 - (q * q) @ c
+        return q, m2 * b + dot(q, c), m2 - dot(q * q, c)
 
     def newton(w, b):
         for _ in range(_roots.NEWTON_STEPS):
@@ -443,7 +470,7 @@ def _plain_track(mu, c, m, paths, b0, gamma):
         return b
 
     def waypoint(t, idx):
-        j = np.minimum(t.astype(int), last - 1)
+        j = np.minimum(t.astype(int), last[idx] - 1)
         return paths[j, idx] + (t - j) * (paths[j + 1, idx] - paths[j, idx])
 
     t, h, collided = np.zeros(n), np.ones(n), np.zeros(n, dtype=bool)
@@ -455,8 +482,8 @@ def _plain_track(mu, c, m, paths, b0, gamma):
                 break
             w_cur, b_cur = waypoint(t[idx], idx), b[idx]
             q, _, fb = terms(w_cur, b_cur)
-            slope = ((q * q) @ (c / mu)) / fb
-            t_new = np.minimum(t[idx] + h[idx], last)
+            slope = dot(q * q, c / mu) / fb
+            t_new = np.minimum(t[idx] + h[idx], last[idx])
             w_new = waypoint(t_new, idx)
             b_pred = b_cur + slope * (w_new - w_cur)
             qp, fp, fbp = terms(w_new, b_pred)
@@ -489,8 +516,10 @@ def test_fused_tracker_matches_plain_step_bit_for_bit(count, seed, m, stride, po
     w = scale * (rng.uniform(-1, 1, points)
                  + 1j * rng.uniform(-1, 1, points) * (np.arange(points) % 3 > 0))
     full = G._default_paths(w, metric, m)
-    paths = np.concatenate([full[:-1:stride], full[-1:]])
-    b0 = -(mu * c).sum() / (m * m * paths[0])
+    paths = dataclasses.replace(full, ray=G.PATH_STEPS // stride + 1)
+    rows = _table(full)
+    assert _table(paths).tobytes() == np.concatenate([rows[:-1:stride], rows[-1:]]).tobytes()
+    b0 = -(mu * c).sum() / (m * m * paths.row(0))
     b, coll = _roots.track(mu, c, m, paths, b0)
     b_ref, coll_ref = _plain_track(mu, c, m, paths, b0, _gamma_second_moment)
     assert np.array_equal(coll, coll_ref)
@@ -556,13 +585,127 @@ def test_tracker_keeps_the_branches_of_the_nearest_pole_bound(monkeypatch, metri
                                                               paths_fn):
     """The tighter gamma bound takes longer steps but lands on the same
     branch as the plain step loop under the nearest-pole bound, on the grid
-    paths and on the side-limit rays of the retry, and flags the same points."""
+    paths, on the side-limit rays that share their walk and on the retry's
+    rays, and flags the same points."""
     calls = _tracker_calls(monkeypatch, metric, points, paths_fn)
     assert calls
     for args, (b, coll) in calls:
         b_ref, coll_ref = _plain_track(*args, _gamma_nearest)
         assert np.array_equal(coll, coll_ref)
         assert np.max(np.abs(b - b_ref)[~coll], initial=0.0) <= 1e-12
+
+
+def _ray_table(w, metric, m):
+    """Default rays as one (L, n) array, the formula the path record replaced."""
+    start = G.START_RADIUS_FACTOR * max(
+        2.0 * M.support_radius(metric) / m, float(np.max(np.abs(w), initial=0.0)))
+    t = np.linspace(0.0, 1.0, G.PATH_STEPS + 1)[:, None]
+    r = np.maximum(np.abs(w), 1e-12 * start)
+    ray = (r[None, :] * (start / r)[None, :] ** (1.0 - t)) * np.exp(1j * np.angle(w))[None, :]
+    return np.concatenate([ray, w[None, :]])
+
+
+def _cone_arc_table(w, lam, m):
+    """Blob-avoiding cone ray and arc as one (L, n) array, the formula the
+    path record replaced."""
+    theta = np.angle(w)
+    s0 = T.sin_theta0(lam)
+    start_r = T.START_RADIUS_FACTOR / m
+    r = np.maximum(np.abs(w), 1e-12 * start_r)
+    needs_arc = np.zeros(w.shape, dtype=bool)
+    if s0 < 1.0:
+        st2 = np.sin(theta) ** 2
+        covered = st2 > s0 * s0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            disc = np.sqrt(np.maximum(1.0 - (s0 * s0) / np.where(covered, st2, 1.0), 0.0))
+        needs_arc = covered & (r < np.sqrt((1.0 - disc) / 2.0) / m)
+    theta_c = np.where(np.abs(theta) <= np.pi / 2.0, np.sign(theta) * T.s0_half_angle(lam),
+                       np.sign(theta) * (np.pi - T.s0_half_angle(lam)))
+    theta_start = np.where(needs_arc, theta_c, theta)
+    t = np.linspace(0.0, 1.0, T.PATH_STEPS + 1)[:, None]
+    ray = (r[None, :] * (start_r / r)[None, :] ** (1.0 - t)) * np.exp(1j * theta_start)[None, :]
+    arc = r[None, :] * np.exp(1j * (theta_start[None, :] + t * (theta - theta_start)[None, :]))
+    return np.concatenate([ray, arc, w[None, :]], axis=0)
+
+
+def _held(table, rows):
+    """``table`` padded to ``rows`` rows by repeating its first."""
+    return np.concatenate([np.repeat(table[:1], rows - len(table), axis=0), table])
+
+
+@pytest.mark.parametrize("lam", [0.125, 0.25, 0.375])
+def test_path_records_match_the_waypoint_arrays_bit_for_bit(monkeypatch, lam):
+    """The record ``classify_grid`` walks on a signature grid with the exact
+    real axis holds, row for row, the bits of the waypoint arrays: cone rays
+    and arcs off the axis, default rays held one row on it, and default rays
+    to the side limits; the one retry covers off-axis points only."""
+    metric, m = SIGNATURES[lam], 1.0
+    xs = np.linspace(-1.2, 1.2, 21)
+    w = np.concatenate([(xs[:, None] + 1j * xs[None, :]).ravel(), [0.0, 1e-12j, -1e-300j]])
+    paths_fn = lambda ws: T.continuation_paths(ws, lam, m)
+    calls, track = [], _roots.track
+
+    def recorded(mu, c, m_, paths, b0):
+        calls.append(paths)
+        return track(mu, c, m_, paths, b0)
+
+    monkeypatch.setattr(_roots, "track", recorded)
+    G.classify_grid(metric, w, m, paths_fn=paths_fn)
+    first, *retry = calls
+    wr = w[~G.solve_nonholomorphic_batch(metric, w, m)[3]]
+    eps = 1e-9 * max(1.0, 2.0 * M.support_radius(metric) / m)
+    axis = np.abs(wr.imag) < 1e-3 * eps
+    wa = wr[axis]
+    limit = (wa.real + eps * np.where(wa.real >= 0.0, 1.0, -1.0)
+             + 1j * 1e-3 * eps * np.where(wa.imag < 0.0, -1.0, 1.0))
+    assert first.w.tobytes() == np.concatenate([wr, limit]).tobytes()
+    expected = _cone_arc_table(wr, lam, m)
+    expected[:, axis] = _held(_ray_table(wa, metric, m), len(expected))
+    rows = _table(first)
+    assert rows[:, :len(wr)].tobytes() == expected.tobytes()
+    side = _ray_table(limit, metric, m)
+    assert rows[:len(side), len(wr):].tobytes() == side.tobytes()
+    assert (first.last[len(wr):] == len(side) - 1).all()
+    assert _table(paths_fn(wr)).tobytes() == _cone_arc_table(wr, lam, m).tobytes()
+    assert _table(G._default_paths(wr, metric, m)).tobytes() == _ray_table(wr, metric, m).tobytes()
+    for paths in retry:
+        assert (np.abs(paths.w.imag) >= 1e-3 * eps).all()
+        assert _table(paths).tobytes() == _ray_table(paths.w, metric, m).tobytes()
+
+
+_BIT_METRICS = {
+    "signature": M.Signature(k=16, n=64),
+    "atoms12": M.ExplicitDiagonal([_signed_atoms(12)[i % 12] for i in range(48)]),
+    "flat": M.FlatContinuum(mu1=1.0, lminus=0.5, mu2=1.5, lplus=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BIT_METRICS))
+def test_grid_entries_are_single_points_bit_for_bit(name):
+    """Entry i of ``classify_grid`` carries the bits of ``classify_phase`` at
+    point i, for points with |w| below 2 rho/m (rho the support radius), where
+    every start radius is 200 rho/m: a track's bits do not depend on the
+    tracks that share its walk.  Real-axis points inside and outside the
+    band, both phases and both half-planes."""
+    metric, m = _BIT_METRICS[name], 1.0
+    reach = 1.8 * M.support_radius(metric) / m
+    rng = np.random.default_rng(17)
+    r, th = reach * np.sqrt(rng.uniform(0.0, 1.0, 48)), rng.uniform(-np.pi, np.pi, 48)
+    w = r * np.exp(1j * th)
+    w[::6] = w[::6].real + 0j
+    w[1::12] = np.conj(w[1::12]) * 1e-200
+    grid = G.classify_grid(metric, w, m)
+    assert set(grid.phase.tolist()) >= {G.HOLOMORPHIC, G.NONHOLOMORPHIC}
+    assert any(grid.note)
+    for i, wi in enumerate(w):
+        if grid.phase[i] == G.UNRESOLVED:
+            with pytest.raises(G.BranchPointProximity):
+                G.classify_phase(metric, wi, m)
+            continue
+        one, entry = G.classify_phase(metric, wi, m), grid.take(i)
+        for field in vars(one):
+            assert (np.asarray(getattr(entry, field)).tobytes()
+                    == np.asarray(getattr(one, field)).tobytes()), (i, field)
 
 
 class TestTracker:
@@ -585,7 +728,9 @@ class TestTracker:
         w = (xs[:, None] + 1j * xs[None, :]).ravel()
         paths = G._default_paths(w, SIG_QUARTER, 1.0)
         b, _, _, coll = G.solve_holomorphic_batch(SIG_QUARTER, w, 1.0, paths=paths)
-        coarse = np.concatenate([paths[:-1:16], paths[-1:]])
+        coarse = dataclasses.replace(paths, ray=G.PATH_STEPS // 16 + 1)
+        rows = _table(paths)
+        assert _table(coarse).tobytes() == np.concatenate([rows[:-1:16], rows[-1:]]).tobytes()
         bc, _, _, coll_c = G.solve_holomorphic_batch(SIG_QUARTER, w, 1.0, paths=coarse)
         assert np.all(coll_c | (~coll & (np.abs(bc - b) <= 1e-8)))
 
@@ -598,7 +743,8 @@ class TestTracker:
         approach = start + (10j - start) * np.linspace(1.0, 0.0, 65)[:, None]
         arc = 2.0 + 0.25 * np.exp(1j * (th1 + np.linspace(0.0, 1.0, 4)[:, None] * (th2 - th1)))
         paths = np.concatenate([approach, arc[1:]])
-        b, coll = _roots.track(np.array([1.0]), np.array([1.0]), 1.0, paths, -1.0 / paths[0])
+        b, coll = _roots.track(np.array([1.0]), np.array([1.0]), 1.0, _Waypoints(paths),
+                               -1.0 / paths[0])
         assert np.all(coll | (np.abs(b - _oracle_track(paths, 1.0)) <= 1e-8))
 
 

@@ -335,7 +335,7 @@ class TestExperiments:
     def test_gap_grid_without_solutions_reports_unresolved(self, tmp_path, monkeypatch):
         # a definite metric has no non-holomorphic points, and every track collides
         monkeypatch.setattr(_roots, "track", lambda mu, c, m, paths, b0: (
-            np.asarray(b0, dtype=complex), np.ones(paths.shape[1], dtype=bool)))
+            np.asarray(b0, dtype=complex), np.ones(len(paths.w), dtype=bool)))
         cfg = make_cfg(tmp_path, experiment="gap_grid", grid_points=5,
                        metric={"type": "signature", "k": 32, "n": 32})
         rep = X.run_gap_grid(cfg)
@@ -353,7 +353,7 @@ class TestExperiments:
 
         def collide_at_target(mu, c, m, paths, b0):
             b, coll = track(mu, c, m, paths, b0)
-            return b, coll | (paths[-1] == target)
+            return b, coll | (paths.w == target)
 
         ref = X.run_gap_grid(make_cfg(tmp_path, experiment="gap_grid", grid_points=5,
                                       out_dir=str(tmp_path / "ref")))

@@ -65,6 +65,16 @@ def test_header_only_and_ragged_rows(tmp_path):
         io.write_csv(tmp_path / "c.csv", ["a", "b"], [(1.0, 3.0), (2.0,)])
 
 
+def test_blocks_match_value_formatting(tmp_path, monkeypatch):
+    # blocks of 4 rows: a column's type mix differs from block to block
+    monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 4)
+    rows = [(i, [7, "txt", -0.0, np.float64(x), True][i % 5] if i < 6 else x, x)
+            for i, x in enumerate(SPECIAL)]
+    assert _same_bytes(tmp_path, ["i", "mixed", "f"], rows)
+    for count in (0, 1, 4, 8, 9):
+        assert _same_bytes(tmp_path, ["a"], [(x,) for x in SPECIAL[:count]])
+
+
 def test_gap_grid_rows_match_value_formatting(tmp_path):
     # both phases, and real-axis side limits of a continuum metric
     metric = M.FlatContinuum(mu1=1.0, lminus=0.5, mu2=1.5, lplus=1.0)
