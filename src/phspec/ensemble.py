@@ -127,14 +127,6 @@ def draw_sample(config: EnsembleConfig, sample_index: int) -> PhSample:
     return s
 
 
-def intertwining_residual(sample: PhSample) -> float:
-    """|phi^dag B - B phi|_F / |phi|_F, zero for exact pseudo-hermiticity."""
-    phi, b = sample.phi, sample.b_diag
-    lhs = phi.conj().T * b[None, :]
-    rhs = b[:, None] * phi
-    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(phi))
-
-
 def trace_statistic(sample: PhSample) -> float:
     """t = Re[(1/n) tr phi].
 

@@ -46,7 +46,7 @@ transform.
 ``classify_grid`` returns one ``GapSolution`` of arrays, entry i for
 point i, which the audit and the CSV writer read as it is.  Its
 holomorphic points share one tracker walk, the real-axis side limits
-included; only off-axis points whose track collided are walked again.
+included; a point whose walk collides is UNRESOLVED.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def solve_holomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0,
     """
     w = np.asarray(w, dtype=complex).ravel()
     mu, c = _terms(metric)
-    tr = metric_mod.summary(metric).tr_b_over_n
+    tr = metric_mod.trace_over_n(metric)
     if abs(tr) <= TRACELESS_TOL:
         b = np.zeros_like(w)   # exact: the branch continuous with infinity
         return b, _holomorphic_green(mu, c, w, b), np.zeros(len(w)), np.zeros(len(w), dtype=bool)
@@ -221,7 +221,7 @@ def solve_nonholomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0):
     s[centre] = 1.0 / (m * m) if abs((wt / mu).sum()) <= 1e-12 else -np.inf
     beta[centre], res[centre], done[centre] = 0.0, 0.0, True
 
-    tr = metric_mod.summary(metric).tr_b_over_n
+    tr = metric_mod.trace_over_n(metric)
     s0 = np.full(n, 1.0 / (2.0 * m * m))
     y[np.abs(y) < TINY_IM] = 0.0   # beta0 ~ 1/y would overflow once squared
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -350,19 +350,19 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> GapSoluti
     """Classify a batch of points into one GapSolution of arrays.
 
     One ``solve_nonholomorphic_batch`` call settles the non-holomorphic
-    points; the others take at most two ``solve_holomorphic_batch``
-    calls.  A point counts as on the real axis when |Im w| is below the
-    imaginary offset of the side limit.  The first call walks every other
-    point along ``paths_fn(w_subset) -> _roots.Paths`` when given
+    points and one ``solve_holomorphic_batch`` call, a single walk, the
+    others.  A point counts as on the real axis when |Im w| is below the
+    imaginary offset of the side limit.  The walk takes every other point
+    along ``paths_fn(w_subset) -> _roots.Paths`` when given
     (blob-avoiding paths ending at w, from a caller that knows the
     geometry, e.g. for signature metrics) and along default rays
-    otherwise; in the same walk every real-axis point is tracked twice, on
-    a default ray to the point itself and on a default ray to its side
-    limit just off the cut on its own side (above for Im w = 0).  Where
-    the first track collides, the side limit is returned, marked in
-    ``note``.  One retry on default rays then covers the off-axis points
-    whose track collided.  A point whose last track collides gets phase
-    UNRESOLVED and nan numbers.
+    otherwise; every real-axis point is tracked twice, on a default ray
+    to the point itself and on a default ray to its side limit just off
+    the cut on its own side (above for Im w = 0).  Where the first track
+    collides, the side limit is returned, marked in ``note``.  An
+    off-axis point whose track collides, or a real-axis point whose two
+    tracks both collide, gets phase UNRESOLVED and nan numbers; nothing
+    is walked again.
     """
     w = np.asarray(w, dtype=complex).ravel()
     s, beta, res, success = solve_nonholomorphic_batch(metric, w, m)
@@ -372,9 +372,8 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> GapSoluti
     # continuation ray keeps a tiny angle and stays in the
     # eigenvalue-free cone around the axis.
     eps = 1e-9 * max(1.0, 2.0 * metric_mod.support_radius(metric) / m)
-    on_axis = np.abs(wr.imag) < 1e-3 * eps
     lower = wr.imag < 0.0
-    axis = np.flatnonzero(on_axis)
+    axis = np.flatnonzero(np.abs(wr.imag) < 1e-3 * eps)
     wa = wr[axis]
     limit = (wa.real + eps * np.where(wa.real >= 0.0, 1.0, -1.0)
              + 1j * 1e-3 * eps * np.where(lower[axis], -1.0, 1.0))
@@ -396,10 +395,6 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> GapSoluti
     for v in (b, green, hres, collided):
         v[axis[hit]] = v[side[hit]]
     b, green, hres, collided = (v[:len(wr)] for v in (b, green, hres, collided))
-    redo = np.flatnonzero(collided & ~on_axis)
-    if len(redo):
-        b[redo], green[redo], hres[redo], collided[redo] = solve_holomorphic_batch(
-            metric, wr[redo], m)
     nan = np.full(len(w), np.nan)
     sol = GapSolution(w=w, phase=np.where(success, NONHOLOMORPHIC, UNRESOLVED), b=nan + 0j,
                       alpha=nan.copy(), beta=nan.copy(), zeta=nan + 0j, green=nan + 0j,
@@ -510,26 +505,3 @@ def unified_check(sol: GapSolution, metric: Metric, m: float = 1.0):
     first, second = (np.hypot(d.real, d.imag) for d in (zg - rhs, wg - zg))
     out = np.maximum(first, second)   # exact, and nan where either is nan
     return float(out[0]) if np.ndim(sol.w) == 0 else out
-
-
-def island_green(curve: np.ndarray, ibeta: np.ndarray, w: complex) -> complex:
-    """Cauchy reconstruction b(w) = (1/2 pi i) oint i*beta(w')/(w - w') dw'.
-
-    ``curve`` samples a closed boundary of a holomorphic island (no
-    repeated endpoint; traversal must keep the island on the left of
-    the kernel's orientation, i.e. clockwise for this kernel sign) and
-    ``ibeta`` holds the matching boundary values.  Trapezoidal rule on
-    the closed polyline; returns ~0 for w outside the island.
-    """
-    curve = np.asarray(curve, dtype=complex)
-    ibeta = np.asarray(ibeta, dtype=complex)
-    if curve.shape != ibeta.shape or curve.ndim != 1 or len(curve) < 3:
-        raise ValueError("curve and boundary values must be matching 1-d arrays")
-    if np.abs(curve[0] - curve[-1]) < 1e-12 * np.max(np.abs(curve)):
-        curve, ibeta = curve[:-1], ibeta[:-1]
-    gaps = np.abs(np.diff(np.concatenate([curve, curve[:1]])))
-    diameter = np.max(np.abs(curve[:, None] - curve[None, ::7]))
-    if np.max(gaps) > 0.25 * diameter:
-        raise ValueError("curve does not look closed (a gap is comparable to its diameter)")
-    dw = (np.roll(curve, -1) - np.roll(curve, 1)) / 2.0
-    return complex(np.sum(ibeta * dw / (w - curve)) / (2j * np.pi))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .. import metric as metric_mod
@@ -45,9 +46,11 @@ class RunConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}")
-        if (self.n < 2 or self.samples < 1 or not self.m > 0
+        if (self.n < 2 or self.samples < 1 or not 0 < self.m < math.inf
                 or (self.threads is not None and self.threads < 1)):
-            raise ConfigError("n >= 2, samples >= 1, m > 0, threads >= 1 required")
+            raise ConfigError("n >= 2, samples >= 1, finite m > 0, threads >= 1 required")
+        if self.grid_extent is not None and not math.isfinite(self.grid_extent):
+            raise ConfigError("grid_extent must be finite")
         if self.experiment == "real_fraction_sweep" and not self.lambdas:
             raise ConfigError("real_fraction_sweep needs a nonempty 'lambdas' list")
         if self.bins < 2:

@@ -361,8 +361,8 @@ def _identity_draw(seed: int, m: float, i: int) -> tuple[dict, int]:
     worst = dict.fromkeys(_IDENTITIES, 0.0)
     skipped = 0
     a = ens.sample_gue(_N_SMALL, m, ens.mix_seed(seed, i))
-    dm = hermcheck.build_doubled(a, _METRIC_SMALL)
-    worst["gamma"] = max(worst["gamma"], hermcheck.gamma_anticommutator_norm(dm))
+    h = hermcheck.build_doubled(a, _METRIC_SMALL)
+    worst["gamma"] = max(worst["gamma"], hermcheck.gamma_anticommutator_norm(h))
     sym = hermcheck.check_spectrum_symmetry(a, _METRIC_SMALL)
     worst["sym_neg"] = max(worst["sym_neg"], sym["negation"])
     worst["sym_conj"] = max(worst["sym_conj"], sym["conjugation"])

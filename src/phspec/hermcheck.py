@@ -46,30 +46,21 @@ from . import spectral
 from .metric import Metric
 
 
-@dataclass
-class DoubledMatrix:
-    """H = [[0, A], [B, 0]] with its chirality partner."""
-
-    h: np.ndarray
-    n: int
-
-    def gamma(self) -> np.ndarray:
-        return np.diag(np.concatenate([np.ones(self.n), -np.ones(self.n)]))
-
-
-def build_doubled(a: np.ndarray, metric: Metric) -> DoubledMatrix:
-    """Assemble the 2N x 2N doubled matrix (exact block placement)."""
+def build_doubled(a: np.ndarray, metric: Metric) -> np.ndarray:
+    """The 2N x 2N doubled matrix H = [[0, A], [B, 0]] (exact block placement)."""
     n = a.shape[0]
     b = metric_mod.realize(metric, n)
     h = np.zeros((2 * n, 2 * n), dtype=complex)
     h[:n, n:] = a
     h[n:, :n] = np.diag(b).astype(complex)
-    return DoubledMatrix(h=h, n=n)
+    return h
 
 
-def gamma_anticommutator_norm(dm: DoubledMatrix) -> float:
-    g = dm.gamma()
-    return float(np.linalg.norm(g @ dm.h + dm.h @ g))
+def gamma_anticommutator_norm(h: np.ndarray) -> float:
+    """|Gamma H + H Gamma|_F with the chirality Gamma = diag(1_N, -1_N)."""
+    n = h.shape[0] // 2
+    g = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
+    return float(np.linalg.norm(g @ h + h @ g))
 
 
 def check_block_resolvent(a: np.ndarray, metric: Metric, z: complex) -> dict:
@@ -83,8 +74,7 @@ def check_block_resolvent(a: np.ndarray, metric: Metric, z: complex) -> dict:
     n = a.shape[0]
     sample = ens.make_ph(a, metric)
     phi, b = sample.phi, sample.b_diag
-    dm = build_doubled(a, metric)
-    shift = z * np.eye(2 * n) - dm.h
+    shift = z * np.eye(2 * n) - build_doubled(a, metric)
     core = z * z * np.eye(n) - phi
     cond = np.linalg.cond(core)
     if cond > 1e12:
@@ -117,8 +107,7 @@ def check_block_resolvent(a: np.ndarray, metric: Metric, z: complex) -> dict:
 
 def check_spectrum_symmetry(a: np.ndarray, metric: Metric) -> dict:
     """Spectrum of H: closed under z -> -z and z -> z*, squares to spec(phi)."""
-    dm = build_doubled(a, metric)
-    eigs_h = np.linalg.eigvals(dm.h)
+    eigs_h = np.linalg.eigvals(build_doubled(a, metric))
     scale = float(np.max(np.abs(eigs_h)) + 1e-300)
     neg = spectral.multiset_distance(eigs_h, -eigs_h) / scale
     conj = spectral.multiset_distance(eigs_h, np.conj(eigs_h)) / scale
@@ -128,20 +117,9 @@ def check_spectrum_symmetry(a: np.ndarray, metric: Metric) -> dict:
     return {"negation": float(neg), "conjugation": float(conj), "square_vs_phi": float(square)}
 
 
-@dataclass
-class BlockTraceSet:
-    """All sixteen (1/N) tr Ghat_{alpha beta} at one (s, z)."""
-
-    s: float
-    z: complex
-    traces: np.ndarray      # 4x4 complex
-
-    def t(self, alpha: int, beta: int) -> complex:
-        return complex(self.traces[alpha - 1, beta - 1])
-
-
-def block_traces(a: np.ndarray, metric: Metric, s: float, z: complex) -> BlockTraceSet:
-    """The sixteen block traces of Ghat at eta = i s, by Schur reduction.
+def block_traces(a: np.ndarray, metric: Metric, s: float, z: complex) -> np.ndarray:
+    """All sixteen (1/N) tr Ghat_{alpha beta} at eta = i s as a 4 x 4 array,
+    entry [alpha - 1, beta - 1], by Schur reduction.
 
     Ordered (1, 4 | 2, 3), the (2, 3) block inverts site by site to
     [[d1, d2], [d2, d1]], d1 = eta/(eta^2 - b^2), d2 = b/(eta^2 - b^2).
@@ -173,7 +151,7 @@ def block_traces(a: np.ndarray, metric: Metric, s: float, z: complex) -> BlockTr
     traces[np.ix_(outer, inner)] = -np.einsum("abi,bci->ac", x, qd) / n
     traces[np.ix_(inner, outer)] = -np.einsum("abi,bci->ac", dq, x) / n
     traces[np.ix_(inner, inner)] = d_inv.mean(-1) + np.einsum("abi,bci,cdi->ad", dq, x, qd) / n
-    return BlockTraceSet(s=float(s), z=complex(z), traces=traces)
+    return traces
 
 
 def block_trace_identities(a: np.ndarray, metric: Metric, s: float, z: complex) -> dict:
@@ -187,14 +165,16 @@ def block_trace_identities(a: np.ndarray, metric: Metric, s: float, z: complex) 
     """
     t_z = block_traces(a, metric, s, z)
     t_zc = block_traces(a, metric, s, np.conj(z))
-    diag = np.diagonal(t_z.traces)
+    diag = np.diagonal(t_z)
     scale = float(np.max(np.abs(diag)) + 1e-300)
+    # Python complex entries: their abs rounds unlike numpy's complex abs
+    t11, t22, t33, t44 = (complex(v) for v in diag)
     return {
         "diag_real_part": float(np.max(np.abs(diag.real))) / scale,
-        "equal_sums": abs((t_z.t(1, 1) + t_z.t(2, 2)) - (t_z.t(3, 3) + t_z.t(4, 4))) / scale,
-        "interrelation_44_11": abs(t_z.t(4, 4) - t_zc.t(1, 1)) / scale,
-        "interrelation_33_22": abs(t_z.t(3, 3) - t_zc.t(2, 2)) / scale,
-        "adjoint_14_41": abs(t_z.t(1, 4) - np.conj(t_z.t(4, 1))) / scale,
+        "equal_sums": abs((t11 + t22) - (t33 + t44)) / scale,
+        "interrelation_44_11": abs(t44 - complex(t_zc[0, 0])) / scale,
+        "interrelation_33_22": abs(t33 - complex(t_zc[1, 1])) / scale,
+        "adjoint_14_41": abs(complex(t_z[0, 3]) - np.conj(complex(t_z[3, 0]))) / scale,
     }
 
 
@@ -227,8 +207,8 @@ class GapResidualReport:
 def _gap_traces(config: ens.EnsembleConfig, s: float, z: complex, idx: int):
     """Block traces of draw ``idx`` at s and at s/2."""
     a = ens.draw_sample(config, idx).a_matrix
-    return (block_traces(a, config.metric, s, z).traces,
-            block_traces(a, config.metric, s / 2.0, z).traces)
+    return (block_traces(a, config.metric, s, z),
+            block_traces(a, config.metric, s / 2.0, z))
 
 
 def averaged_gap_residual(config: ens.EnsembleConfig, s: float, z: complex, *,

@@ -59,6 +59,8 @@ class ExplicitDiagonal:
             raise MetricError("empty diagonal")
         if any(v == 0.0 for v in mu):
             raise MetricError("zero eigenvalue makes the metric singular")
+        if not all(np.isfinite(mu)):
+            raise MetricError("diagonal entries must be finite")
         object.__setattr__(self, "mu", mu)
 
 
@@ -77,9 +79,10 @@ class FlatContinuum:
     lplus: float
 
     def __post_init__(self):
-        if not (self.mu1 > self.lminus > 0 and self.mu2 > self.lplus > 0):
+        if not (np.isfinite(self.mu1) and np.isfinite(self.mu2)
+                and self.mu1 > self.lminus > 0 and self.mu2 > self.lplus > 0):
             raise MetricError(
-                "flat metric needs mu1 > lminus > 0 and mu2 > lplus > 0 "
+                "flat metric needs finite mu1 > lminus > 0 and mu2 > lplus > 0 "
                 "(support must exclude a neighborhood of zero)"
             )
 
@@ -96,23 +99,6 @@ class FlatContinuum:
 
 
 Metric = Signature | ExplicitDiagonal | FlatContinuum
-
-
-@dataclass(frozen=True)
-class MetricSummary:
-    """Scalar aggregates of a metric used throughout the solvers.
-
-    ``lam`` is the fraction of positive eigenvalue mass, ``tr_b_over_n``
-    and ``tr_b2_over_n`` are the first two moments of the eigenvalue
-    density, ``num_distinct`` is the number of distinct atoms (0 for a
-    continuum metric, where the holomorphic gap equation is
-    transcendental rather than polynomial of degree num_distinct+1).
-    """
-
-    lam: float
-    tr_b_over_n: float
-    tr_b2_over_n: float
-    num_distinct: int
 
 
 def is_atomic(metric: Metric) -> bool:
@@ -139,28 +125,15 @@ def atoms(metric: Metric):
     raise MetricError("continuum metric has no atomic decomposition")
 
 
-def summary(metric: Metric) -> MetricSummary:
-    """Aggregate the scalars every solver keeps asking the metric for."""
+def trace_over_n(metric: Metric) -> float:
+    """(1/N) tr B: the first moment of the metric's eigenvalue density."""
     if is_atomic(metric):
         vals, wts = atoms(metric)
-        return MetricSummary(
-            lam=float(wts[vals > 0].sum()),
-            tr_b_over_n=float((wts * vals).sum()),
-            tr_b2_over_n=float((wts * vals**2).sum()),
-            num_distinct=len(vals),
-        )
-    m = metric
-    c = m.density_value
-    (a0, a1), (b0, b1) = m.segments()
-    # exact moments of the piecewise-flat density
-    mom1 = c * ((a1**2 - a0**2) / 2 + (b1**2 - b0**2) / 2)
-    mom2 = c * ((a1**3 - a0**3) / 3 + (b1**3 - b0**3) / 3)
-    return MetricSummary(
-        lam=c * m.lplus,
-        tr_b_over_n=mom1,
-        tr_b2_over_n=mom2,
-        num_distinct=0,
-    )
+        return float((wts * vals).sum())
+    c = metric.density_value
+    (a0, a1), (b0, b1) = metric.segments()
+    # exact first moment of the piecewise-flat density
+    return c * ((a1**2 - a0**2) / 2 + (b1**2 - b0**2) / 2)
 
 
 def support_radius(metric: Metric) -> float:
@@ -232,13 +205,12 @@ def green_b(metric: Metric, w) -> complex | np.ndarray:
     factor with the principal branch, which places a cut from each
     branch point running along the real axis in the negative
     direction; the jump of the imaginary part across the support then
-    reproduces the density (see ``green_b_limit``).
+    reproduces the density.
 
     Raises
     ------
     OnSupportError
-        If ``w`` lies exactly on the eigenvalue support (use
-        ``green_b_limit`` for boundary values).
+        If ``w`` lies exactly on the eigenvalue support.
     """
     w = np.asarray(w, dtype=complex)
     scalar = w.ndim == 0
@@ -260,36 +232,6 @@ def _green_flat(metric: FlatContinuum, w: np.ndarray) -> np.ndarray:
     return metric.density_value * (
         np.log(w - a0) - np.log(w - a1) + np.log(w - b0) - np.log(w - b1)
     )
-
-
-def green_b_limit(metric: Metric, x: float, side: str = "below") -> complex:
-    """Boundary value lim_{eps->0+} G_B(x -+ i eps) on the real axis.
-
-    ``side='below'`` approaches from the lower half plane (x - i eps);
-    on the support of a continuum metric its imaginary part equals
-    +pi * rho_B(x).  Off the support both side limits agree.
-
-    Raises
-    ------
-    OnSupportError
-        If ``x`` hits an atom of an atomic metric (a pole).
-    """
-    if side not in ("above", "below"):
-        raise ValueError("side must be 'above' or 'below'")
-    x = float(x)
-    if is_atomic(metric):
-        vals, wts = atoms(metric)
-        if np.any(vals == x):
-            raise OnSupportError(f"x={x} is an eigenvalue of the metric (pole)")
-        return complex(np.sum(wts / (x - vals)))
-    rho = float(density(metric, x))
-    (a0, a1), (b0, b1) = metric.segments()
-    # real part is the principal value; the flat density makes it elementary
-    pv = metric.density_value * (
-        np.log(abs(x - a0)) - np.log(abs(x - a1)) + np.log(abs(x - b0)) - np.log(abs(x - b1))
-    )
-    sign = 1.0 if side == "below" else -1.0
-    return complex(pv + sign * 1j * np.pi * rho)
 
 
 def to_config(metric: Metric) -> dict:

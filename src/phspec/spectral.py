@@ -51,12 +51,45 @@ def eigenvalues(phi: np.ndarray) -> np.ndarray:
         raise EigensolveError(str(exc)) from exc
 
 
+def _greedy_match(u: np.ndarray, v: np.ndarray, tol: float = np.inf):
+    """Greedy nearest matching of the elements of ``u`` into ``v``.
+
+    Each element of ``u`` in turn takes the nearest element of ``v`` not
+    yet taken (the lowest index among equal distances), measured by
+    ``np.hypot``, which rounds like the scalar complex abs where the
+    vectorised ``np.abs`` can differ in the last bit.  Returns (partner,
+    dist): the index into ``v`` of each element's partner, or -1 where
+    the nearest free element lies further than ``tol`` (it stays free) or
+    none is left (distance inf), and that nearest distance.
+    """
+    vr, vi = v.real.copy(), v.imag.copy()   # a taken element's real part becomes inf
+    left = len(v)
+    partner, dist = [], []
+    for x in u.tolist():
+        if not left:
+            partner.append(-1)
+            dist.append(np.inf)
+            continue
+        d = np.hypot(vr - x.real, vi - x.imag)
+        j = int(d.argmin())
+        dj = float(d[j])
+        if dj <= tol:
+            vr[j] = np.inf
+            left -= 1
+        else:
+            j = -1
+        partner.append(j)
+        dist.append(dj)
+    return np.array(partner, dtype=np.intp), np.array(dist)
+
+
 def classify(eigs: np.ndarray, seed: int = 0) -> SpectrumSample:
     """Split a spectrum into real eigenvalues and conjugate pairs.
 
-    An eigenvalue is real when |Im| <= REAL_TOL_FACTOR * max|eig|.  The rest
-    are greedily matched to conjugate partners by nearest |lam - conj(mu)|;
-    a leftover that finds no partner within PAIR_TOL_FACTOR * scale is a
+    An eigenvalue is real when |Im| <= REAL_TOL_FACTOR * max|eig|.  The
+    rest are matched by ``_greedy_match``: each upper-half eigenvalue, in
+    order of (Re, Im), takes the nearest free conjugate of a lower-half
+    one within PAIR_TOL_FACTOR * scale.  A leftover on either side is a
     near-real pair split by rounding and gets reclassified as real (the
     count of such events is kept on the sample).
     """
@@ -68,36 +101,23 @@ def classify(eigs: np.ndarray, seed: int = 0) -> SpectrumSample:
                               tol_used=0.0, sample_seed=seed)
     tol = REAL_TOL_FACTOR * scale
     real_mask = np.abs(eigs.imag) <= tol
-    reals = list(eigs[real_mask].real)
     rest = eigs[~real_mask]
-
-    upper = np.array(sorted(rest[rest.imag > 0], key=lambda z: (z.real, z.imag)))
+    upper = np.array(sorted(rest[rest.imag > 0], key=lambda z: (z.real, z.imag)), dtype=complex)
     lower = rest[rest.imag <= 0]
+    partner, _ = _greedy_match(upper, np.conj(lower), PAIR_TOL_FACTOR * scale)
+    paired = partner >= 0
     taken = np.zeros(len(lower), dtype=bool)
-    pair_tol = PAIR_TOL_FACTOR * scale
-    pairs = []
-    forced = 0
-    for lam in upper:
-        free = np.flatnonzero(~taken)
-        if len(free):
-            dist = np.abs(lam - np.conj(lower[free]))
-            j = int(np.argmin(dist))
-            if dist[j] <= pair_tol:
-                taken[free[j]] = True
-                pairs.append(lam)
-                continue
-        reals.append(lam.real)
-        forced += 1
-    for mu in lower[~taken]:  # partnerless lower-half leftovers
-        reals.append(mu.real)
-        forced += 1
+    taken[partner[paired]] = True
+    leftovers = [upper[~paired], lower[~taken]]   # partnerless on either side
+    forced = sum(len(v) for v in leftovers)
     if forced:
         warnings.warn(f"{forced} unpaired near-real eigenvalues reclassified as real",
                       RuntimeWarning, stacklevel=2)
     return SpectrumSample(
         eigs=eigs,
-        real_eigs=np.array(sorted(reals)),
-        pair_eigs=np.array(pairs, dtype=complex),
+        real_eigs=np.sort(np.concatenate([eigs[real_mask].real, *(v.real for v in leftovers)]),
+                          kind="stable"),
+        pair_eigs=upper[paired],
         tol_used=tol,
         sample_seed=seed,
         forced_real=forced,
@@ -105,25 +125,11 @@ def classify(eigs: np.ndarray, seed: int = 0) -> SpectrumSample:
 
 
 def multiset_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Sup distance between two same-size multisets under greedy matching.
-
-    Each element of ``u`` in turn takes the nearest unmatched element of
-    ``v`` (lexicographic sorting would mispair noisy conjugate partners
-    with nearly equal real parts).
-    """
-    v = np.asarray(v, complex)
-    free = np.ones(len(v), dtype=bool)
-    worst = 0.0
-    for x in np.asarray(u, complex):
-        idx = np.flatnonzero(free)
-        diff = v[idx] - x
-        # hypot rounds like the scalar complex abs; the vectorised np.abs
-        # can differ from it in the last bit
-        d = np.hypot(diff.real, diff.imag)
-        j = int(np.argmin(d))
-        worst = max(worst, float(d[j]))
-        free[idx[j]] = False
-    return worst
+    """Sup distance between two same-size multisets under ``_greedy_match``
+    (lexicographic sorting would mispair noisy conjugate partners with
+    nearly equal real parts)."""
+    _, dist = _greedy_match(np.asarray(u, complex), np.asarray(v, complex))
+    return float(np.max(dist, initial=0.0))
 
 
 @dataclass

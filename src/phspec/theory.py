@@ -33,8 +33,6 @@ boundary, which the cone-and-arc path respects.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _roots
@@ -70,26 +68,6 @@ def band_edge(lam: float, m: float = 1.0) -> float:
         (1.0 - s) ** (1.0 / 3.0) + (1.0 + s) ** (1.0 / 3.0)
     ) + 2.0
     return float(np.sqrt(inner / (2.0 * m * m)))
-
-
-@dataclass(frozen=True)
-class CubicData:
-    """Real-axis discriminant data of the branch cubic.
-
-    ``delta`` is positive inside the band (one real root and a
-    conjugate pair) and negative outside (three real roots); ``xi``
-    is the odd-in-x auxiliary entering the real density formula.
-    """
-
-    xi: float
-    delta: float
-
-
-def cubic_data(x: float, lam: float, m: float = 1.0) -> CubicData:
-    _check(lam, m)
-    xi = -27.0 * m**4 * (1.0 - 2.0 * lam) * x
-    delta = xi * xi + 108.0 * m**6 * (1.0 - m * m * x * x) ** 3
-    return CubicData(xi=float(xi), delta=float(delta))
 
 
 def rho_real(x, lam: float, m: float = 1.0):
@@ -187,16 +165,6 @@ def blob_area_and_nu(lam: float, m: float = 1.0) -> tuple[float, float]:
     _check(lam, m)
     nu = 1.0 - abs(1.0 - 2.0 * lam)
     return nu * np.pi / (m * m), nu
-
-
-def green_nonholomorphic(w, m: float = 1.0):
-    """Resolvent inside the blobs: G = m^2 conj(w).
-
-    Its conjugate-w derivative over pi is the uniform pair density
-    m^2/pi.  Only meaningful for w inside the blobs; the caller is
-    responsible for membership (see ``in_blobs``).
-    """
-    return m * m * np.conj(w)
 
 
 def semicircle_density(x, m: float = 1.0):
@@ -314,31 +282,6 @@ def green_holomorphic(w, lam: float, m: float = 1.0):
     b = np.atleast_1d(holomorphic_b(wv, lam, m))
     g = lam / (b + wv) - (1.0 - lam) / (b - wv)
     return complex(g[0]) if scalar else g.reshape(w.shape)
-
-
-def rho_real_via_discontinuity(x, lam: float, m: float = 1.0, epsilon: float | None = None):
-    """Real-axis density from the resolvent jump across the band.
-
-    Evaluates (1/2 pi) Im[G(x - i eps) - G(x + i eps)] and applies one
-    Richardson step in eps to remove the leading linear error.  This is
-    a cross-check of ``rho_real``, not the primary path.
-    """
-    _check(lam, m)
-    if epsilon is None:
-        epsilon = 1e-6 / m
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x).ravel()
-
-    def jump(eps):
-        gm = np.atleast_1d(green_holomorphic(xv - 1j * eps, lam, m))
-        gp = np.atleast_1d(green_holomorphic(xv + 1j * eps, lam, m))
-        return (gm - gp).imag / (2.0 * np.pi)
-
-    v1 = jump(epsilon)
-    v2 = jump(epsilon / 2.0)
-    out = 2.0 * v2 - v1
-    return float(out[0]) if scalar else out.reshape(x.shape)
 
 
 def real_band_cdf(lam: float, m: float = 1.0):

