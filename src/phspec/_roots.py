@@ -67,14 +67,13 @@ def _linspace_at(i, num):
 class Paths:
     """Continuation paths, one entry per point, evaluated row by row.
 
-    Point i's rows are ``hold[i]`` copies of its start, then the geometric
-    ray r (start/r)^(1 - t) e^{i theta0} at t = linspace(0, 1, ray[i]), then
-    the arc r e^{i (theta0 + t (theta - theta0))} at t = linspace(0, 1,
-    arc[i]) (no arc rows when ``arc[i]`` is 0), and last the target w, row
-    ``last[i]``.  ``start``, ``hold``, ``ray`` and ``arc`` may be given as
-    scalars shared by every point.  A row is computed by the ufunc sequence
-    of the formula above, so its bits do not depend on which rows of which
-    points are evaluated together.
+    Point i's rows are the geometric ray r (start/r)^(1 - t) e^{i theta0} at
+    t = linspace(0, 1, ray[i]), then the arc r e^{i (theta0 + t (theta -
+    theta0))} at t = linspace(0, 1, arc[i]) (no arc rows when ``arc[i]`` is
+    0), and last the target w, row ``last[i]``.  ``start``, ``ray`` and
+    ``arc`` may be given as scalars shared by every point.  A row is
+    computed by the ufunc sequence of the formula above, so its bits do not
+    depend on which rows of which points are evaluated together.
     """
 
     w: np.ndarray
@@ -82,7 +81,6 @@ class Paths:
     start: np.ndarray
     theta0: np.ndarray
     theta: np.ndarray
-    hold: np.ndarray
     ray: np.ndarray       # rows, at least 2
     arc: np.ndarray       # rows, 0 or at least 2
     direction: np.ndarray = field(init=False, repr=False)   # e^{i theta0}
@@ -90,19 +88,17 @@ class Paths:
     def __post_init__(self):
         shape = np.shape(self.w)
         self.start = np.full(shape, self.start, dtype=float)
-        self.hold, self.ray, self.arc = (np.full(shape, v, dtype=np.intp)
-                                         for v in (self.hold, self.ray, self.arc))
+        self.ray, self.arc = (np.full(shape, v, dtype=np.intp) for v in (self.ray, self.arc))
         self.direction = np.exp(1j * self.theta0)
 
     @property
     def last(self) -> np.ndarray:
         """Row index of each point's target."""
-        return self.hold + self.ray + self.arc
+        return self.ray + self.arc
 
     def rows(self, k, idx) -> np.ndarray:
         """Row ``k[i]`` of point ``idx[i]``, for integer arrays of one length;
         a row past a point's last is its target."""
-        k = np.maximum(k - self.hold[idx], 0)            # a held row is the ray's first
         ray, arc = self.ray[idx], self.arc[idx]
         out = self.w[idx]
         on = np.flatnonzero(k < ray)
@@ -120,11 +116,6 @@ class Paths:
         """Row ``k`` of every point."""
         n = len(self.w)
         return self.rows(np.full(n, k), np.arange(n))
-
-    def put(self, idx, other: Paths) -> None:
-        """Make entries ``idx`` the paths of ``other``."""
-        for name, v in vars(other).items():
-            getattr(self, name)[idx] = v
 
     @staticmethod
     def concat(parts) -> Paths:

@@ -45,8 +45,10 @@ transform.
 
 ``classify_grid`` returns one ``GapSolution`` of arrays, entry i for
 point i, which the audit and the CSV writer read as it is.  Its
-holomorphic points share one tracker walk, the real-axis side limits
-included; a point whose walk collides is UNRESOLVED.
+holomorphic points share one tracker walk, a real-axis point's walk
+ending at its side limit just off the axis, and a point whose walk
+collides is UNRESOLVED.  Real-axis points off the cut take one more
+certified step, back to the axis.
 """
 
 from __future__ import annotations
@@ -65,6 +67,13 @@ NONHOLOMORPHIC = "nonholomorphic"
 UNRESOLVED = "unresolved"
 
 PATH_STEPS = 128
+# Angle (rad) off the real axis of the ray that walks to a side limit: far
+# enough from the axis to pass the band edges without grazing them, inside
+# the eigenvalue-free cone of every Signature(k, 256) (the narrowest, k =
+# 127, has sin theta0 = |tr B|/N = 0.0078).  A metric whose cone is
+# narrower, |tr B|/N -> 0, can put a blob in the ray's way.
+LAUNCH_ANGLE = 5e-3
+SIDE_ARC_ROWS = 2          # the arc from LAUNCH_ANGLE to the side limit is one chord
 START_RADIUS_FACTOR = 100.0
 NEWTON_TOL = 1e-10
 NEWTON_RESTARTS = 4
@@ -149,7 +158,21 @@ def _default_paths(w: np.ndarray, metric: Metric, m: float) -> _roots.Paths:
     )
     r = np.maximum(np.abs(w), 1e-12 * start)   # keep w = 0 off the division
     theta = np.angle(w)
-    return _roots.Paths(w, r, start, theta, theta, hold=0, ray=PATH_STEPS + 1, arc=0)
+    return _roots.Paths(w, r, start, theta, theta, ray=PATH_STEPS + 1, arc=0)
+
+
+def _side_limit_paths(limit: np.ndarray, metric: Metric, m: float) -> _roots.Paths:
+    """Rays at LAUNCH_ANGLE off the real axis down to |limit|, then arcs at
+    |limit| to arg(limit): each side limit is reached from its own side,
+    clear of the band-edge branch points on the axis.  Each ray starts at
+    START_RADIUS_FACTOR times the larger of 2 rho/m and |limit|, its own
+    point's, so a walk does not depend on the batch it shares."""
+    r = np.abs(limit)
+    start = START_RADIUS_FACTOR * np.maximum(2.0 * metric_mod.support_radius(metric) / m, r)
+    theta = np.angle(limit)
+    launch = np.sign(theta) * np.where(np.abs(theta) <= np.pi / 2.0, LAUNCH_ANGLE,
+                                       np.pi - LAUNCH_ANGLE)
+    return _roots.Paths(limit, r, start, launch, theta, ray=PATH_STEPS + 1, arc=SIDE_ARC_ROWS)
 
 
 def _bh_residual(mu, c, w, b, m: float):
@@ -177,6 +200,13 @@ def solve_holomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0,
     proximity -- those values are not trustworthy).
     """
     w = np.asarray(w, dtype=complex).ravel()
+    return _holomorphic_walk(metric, w, m, paths)
+
+
+def _holomorphic_walk(metric: Metric, w: np.ndarray, m: float, paths: _roots.Paths | None,
+                      b0: np.ndarray | None = None):
+    """``solve_holomorphic_batch`` from the roots ``b0`` at row 0 of
+    ``paths`` (default: the large-|w| asymptote there)."""
     mu, c = _terms(metric)
     tr = metric_mod.trace_over_n(metric)
     if abs(tr) <= TRACELESS_TOL:
@@ -184,7 +214,9 @@ def solve_holomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0,
         return b, _holomorphic_green(mu, c, w, b), np.zeros(len(w)), np.zeros(len(w), dtype=bool)
     if paths is None:
         paths = _default_paths(w, metric, m)
-    b, collided = _roots.track(mu, c, m, paths, -tr / (m * m * paths.row(0)))
+    if b0 is None:
+        b0 = -tr / (m * m * paths.row(0))
+    b, collided = _roots.track(mu, c, m, paths, b0)
     res = np.abs(_bh_residual(mu, c, w, b, m))
     return b, _holomorphic_green(mu, c, w, b), res, collided
 
@@ -333,8 +365,9 @@ def classify_phase(metric: Metric, w: complex, m: float = 1.0) -> GapSolution:
 
     A point on a real-axis cut, or nearer to it than the side-limit
     offset, comes back as the side limit on its own side, noted on the
-    solution.  Raises BranchPointProximity where ``classify_grid`` leaves
-    the point UNRESOLVED.
+    solution; a real-axis point off the cut as its value on the axis.
+    Raises BranchPointProximity where ``classify_grid`` leaves the point
+    UNRESOLVED.
     """
     sol = classify_grid(metric, [w], m).take(0)
     if sol.phase == UNRESOLVED:
@@ -352,49 +385,54 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> GapSoluti
     One ``solve_nonholomorphic_batch`` call settles the non-holomorphic
     points and one ``solve_holomorphic_batch`` call, a single walk, the
     others.  A point counts as on the real axis when |Im w| is below the
-    imaginary offset of the side limit.  The walk takes every other point
-    along ``paths_fn(w_subset) -> _roots.Paths`` when given
-    (blob-avoiding paths ending at w, from a caller that knows the
-    geometry, e.g. for signature metrics) and along default rays
-    otherwise; every real-axis point is tracked twice, on a default ray
-    to the point itself and on a default ray to its side limit just off
-    the cut on its own side (above for Im w = 0).  Where the first track
-    collides, the side limit is returned, marked in ``note``.  An
-    off-axis point whose track collides, or a real-axis point whose two
-    tracks both collide, gets phase UNRESOLVED and nan numbers; nothing
-    is walked again.
+    imaginary offset of its side limit, x + eps sign(x) +- 1e-3 eps i,
+    just off the axis on the point's own side (above for Im w = 0).  The
+    walk takes every off-axis point along ``paths_fn(w_subset) ->
+    _roots.Paths`` when given (blob-avoiding paths ending at w, from a
+    caller that knows the geometry, e.g. for signature metrics) and along
+    default rays otherwise, and every real-axis point once, to its side
+    limit, along ``_side_limit_paths``.
+
+    The side limit is on the cut when its root's |Im b| exceeds the square
+    root of the offset.  Off the cut b is real on the axis and Im b is
+    about b'(x) times the offset, with |b'| growing as d^(-1/2) at a
+    distance d from a band edge; on the cut |Im b| grows as d^(1/2).  Both
+    reach the square root of the offset at d about the offset, so the test
+    can err only that close to a band edge.  A point on the cut returns its
+    side limit, marked in ``note``.  A point off the cut takes one certified
+    step, a short ray and arc from its side limit, in a second
+    ``_roots.track`` call, and returns its value on the axis; where that
+    step collides, near a band edge, it keeps the side limit and its note.
+    A point whose walk collides gets phase UNRESOLVED and nan numbers;
+    nothing is walked again.
     """
     w = np.asarray(w, dtype=complex).ravel()
     s, beta, res, success = solve_nonholomorphic_batch(metric, w, m)
     rest = np.flatnonzero(~success)
-    wr = w[rest]
     # Side-limit offset.  It leans mostly along the real axis so the
-    # continuation ray keeps a tiny angle and stays in the
-    # eigenvalue-free cone around the axis.
+    # side limit lies deep in the eigenvalue-free cone around the axis.
     eps = 1e-9 * max(1.0, 2.0 * metric_mod.support_radius(metric) / m)
+    on_axis = np.abs(w[rest].imag) < 1e-3 * eps
+    rest = np.concatenate([rest[~on_axis], rest[on_axis]])   # the real-axis points last
+    n_off = len(rest) - np.count_nonzero(on_axis)
+    axis = np.arange(n_off, len(rest))
+    wr = w[rest]
     lower = wr.imag < 0.0
-    axis = np.flatnonzero(np.abs(wr.imag) < 1e-3 * eps)
-    wa = wr[axis]
-    limit = (wa.real + eps * np.where(wa.real >= 0.0, 1.0, -1.0)
+    limit = (wr[axis].real + eps * np.where(wr[axis].real >= 0.0, 1.0, -1.0)
              + 1j * 1e-3 * eps * np.where(lower[axis], -1.0, 1.0))
-    if paths_fn is None:
-        paths = _default_paths(wr, metric, m)
-    else:
-        paths = paths_fn(wr)
-        rays = _default_paths(wa, metric, m)
-        # the rays hold their start until they are as long as the longest path
-        rays.hold = np.maximum(paths.last.max(initial=0) - rays.last, 0)
-        paths.put(axis, rays)
-    paths = _roots.Paths.concat([paths, _default_paths(limit, metric, m)])
-    b, green, hres, collided = solve_holomorphic_batch(metric, np.concatenate([wr, limit]), m,
-                                                       paths=paths)
-    side = len(wr) + np.arange(len(axis))
-    hit = collided[axis]
-    wh = wr.copy()              # where each holomorphic solution was evaluated
-    wh[axis[hit]] = limit[hit]
-    for v in (b, green, hres, collided):
-        v[axis[hit]] = v[side[hit]]
-    b, green, hres, collided = (v[:len(wr)] for v in (b, green, hres, collided))
+    wh = np.concatenate([wr[:n_off], limit])   # where each holomorphic solution is evaluated
+    off = wr[:n_off]
+    paths = paths_fn(off) if paths_fn else _default_paths(off, metric, m)
+    paths = _roots.Paths.concat([paths, _side_limit_paths(limit, metric, m)])
+    b, green, hres, collided = solve_holomorphic_batch(metric, wh, m, paths=paths)
+    k = axis[~collided[axis] & (np.abs(b[axis].imag) <= np.sqrt(1e-3 * eps))]
+    if len(k):                  # off the cut: one ray-and-arc step back to the axis
+        x = wr[k]
+        r = np.maximum(np.abs(x), 1e-12 * eps)   # keep w = 0 off the division
+        step = _roots.Paths(x, r, np.abs(wh[k]), np.angle(wh[k]), np.angle(x), ray=2, arc=2)
+        b_x, green_x, res_x, collided_x = _holomorphic_walk(metric, x, m, step, b[k])
+        ok = ~collided_x
+        b[k[ok]], green[k[ok]], hres[k[ok]], wh[k[ok]] = b_x[ok], green_x[ok], res_x[ok], x[ok]
     nan = np.full(len(w), np.nan)
     sol = GapSolution(w=w, phase=np.where(success, NONHOLOMORPHIC, UNRESOLVED), b=nan + 0j,
                       alpha=nan.copy(), beta=nan.copy(), zeta=nan + 0j, green=nan + 0j,

@@ -53,6 +53,12 @@ class RunConfig:
             raise ConfigError("grid_extent must be finite")
         if self.experiment == "real_fraction_sweep" and not self.lambdas:
             raise ConfigError("real_fraction_sweep needs a nonempty 'lambdas' list")
+        if not all(0.0 <= lam <= 1.0 for lam in self.lambdas):   # false for nan
+            raise ConfigError(f"every 'lambdas' entry must lie in [0, 1]: {self.lambdas}")
+        if self.hist_range is not None and not (
+                len(self.hist_range) == 2 and all(map(math.isfinite, self.hist_range))
+                and self.hist_range[0] < self.hist_range[1]):
+            raise ConfigError(f"hist_range must be two finite numbers lo < hi: {self.hist_range}")
         if self.bins < 2:
             raise ConfigError("bins must be >= 2")
         if self.grid_points < 2:

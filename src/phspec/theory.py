@@ -231,7 +231,7 @@ def continuation_paths(w: np.ndarray, lam: float, m: float) -> _roots.Paths:
         np.sign(theta) * (np.pi - s0_half_angle(lam)),
     )
     theta_start = np.where(needs_arc, theta_c, theta)
-    return _roots.Paths(w, r, start_r, theta_start, theta, hold=0, ray=PATH_STEPS + 1,
+    return _roots.Paths(w, r, start_r, theta_start, theta, ray=PATH_STEPS + 1,
                         arc=PATH_STEPS + 1)
 
 

@@ -13,14 +13,16 @@ platform that made it, and ``tests/test_golden.py`` skips on any other.
 
 Rewrite the manifest from the current tree with
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [--keep DIR]
 
-Every rewrite changes what the test guards: name in CHANGES.md the
-outputs that moved and why.
+``--keep DIR`` runs in DIR and leaves the outputs there, so that two
+trees' outputs can be diffed row by row.  Every rewrite changes what the
+test guards: name in CHANGES.md the outputs and rows that moved and why.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -131,9 +133,17 @@ def outputs(workdir: str) -> dict:
     return hashes
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as workdir:
-        hashes = outputs(workdir)
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Rewrite the golden manifest.")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="run in DIR and leave the outputs there")
+    keep = parser.parse_args(argv).keep
+    if keep:
+        os.makedirs(keep, exist_ok=True)
+        hashes = outputs(keep)
+    else:
+        with tempfile.TemporaryDirectory() as workdir:
+            hashes = outputs(workdir)
     with open(MANIFEST, "w") as fh:
         json.dump({"platform": fingerprint(), "outputs": hashes}, fh, indent=2,
                   sort_keys=True)

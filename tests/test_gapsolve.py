@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from phspec import _roots
 from phspec import gapsolve as G
@@ -265,20 +265,46 @@ class TestClassifyAndBoundary:
         assert sol.green.imag == pytest.approx(-np.pi * rho, abs=1e-4)
 
     def test_cut_side_limit_collision_is_unresolved(self, monkeypatch):
-        # a real-axis point whose tracks collide on the axis and on the side
-        # limit, or an off-axis point whose one walk collides, is left
-        # unresolved instead of aborting the grid
+        # a real-axis point whose walk to its side limit collides, or an
+        # off-axis point whose walk collides, is left unresolved instead of
+        # aborting the grid, and no step back to the axis is tried
+        calls = []
+
         def collide(mu, c, m, paths, b0):
+            calls.append(paths)
             return np.asarray(b0, dtype=complex), np.ones(len(paths.w), dtype=bool)
 
         monkeypatch.setattr(_roots, "track", collide)
         sol = G.classify_grid(SIG_QUARTER, [0.5 + 0j, 2.0 + 1.0j, 0.3 + 0.4j], 1.0)
+        assert len(calls) == 1
         assert sol.phase.tolist() == [G.UNRESOLVED, G.UNRESOLVED, G.NONHOLOMORPHIC]
         for field in (sol.b, sol.alpha, sol.beta, sol.zeta, sol.green, sol.residual):
             assert np.isnan(field).tolist() == [True, True, False]
         assert sol.note.tolist() == ["", "", ""]
         with pytest.raises(G.BranchPointProximity):
             G.classify_phase(SIG_QUARTER, 0.5 + 0j, 1.0)
+
+    def test_off_cut_step_collision_keeps_the_side_limit(self, monkeypatch):
+        # 2.0 lies beyond the band edge 1.63: its side limit is continued
+        # back to the axis by a second call, and where that step collides
+        # the side limit stays, with its note
+        on_axis = G.classify_grid(SIG_QUARTER, [2.0 + 0j], 1.0).take(0)
+        assert on_axis.phase == G.HOLOMORPHIC and on_axis.note == ""
+        assert on_axis.b.imag == 0.0 and on_axis.zeta == -2.0 / complex(on_axis.b)
+        calls, track = [], _roots.track
+
+        def step_collides(mu, c, m, paths, b0):
+            calls.append(paths)
+            b, coll = track(mu, c, m, paths, b0)
+            return b, coll | (len(calls) == 2)
+
+        monkeypatch.setattr(_roots, "track", step_collides)
+        kept = G.classify_grid(SIG_QUARTER, [2.0 + 0j], 1.0).take(0)
+        assert len(calls) == 2 and calls[1].w.tolist() == [2.0 + 0j]
+        assert abs(calls[0].w[0] - (2.0 + 2e-9 + 2e-12j)) <= 1e-15    # the side limit
+        assert kept.phase == G.HOLOMORPHIC and kept.note == "real-axis cut: upper side limit"
+        assert kept.zeta == -complex(calls[0].w[0]) / complex(kept.b)
+        assert 0.0 < abs(kept.green - on_axis.green) <= 1e-8    # 2e-9 apart
 
     def test_many_atom_cut_side_limit_solves(self):
         # 32 signed atoms: the side limit at -1.2 agrees with a point just above
@@ -564,9 +590,9 @@ def test_gamma_bound_is_sound_and_never_looser(count, seed, m, near_pole):
         assert bound == pytest.approx(nearest, rel=1e-12)
 
 
-def _tracker_calls(monkeypatch, metric, points, paths_fn=None):
+def _tracker_calls(monkeypatch, metric, points, paths_fn=None, extent=1.2):
     """Every ``_roots.track`` call of ``classify_grid`` on a points^2 grid of
-    [-1.2, 1.2]^2, with its arguments and results."""
+    [-extent, extent]^2, with its arguments and results."""
     calls, track = [], _roots.track
 
     def recorded(*args):
@@ -575,26 +601,28 @@ def _tracker_calls(monkeypatch, metric, points, paths_fn=None):
         return b, coll
 
     monkeypatch.setattr(_roots, "track", recorded)
-    xs = np.linspace(-1.2, 1.2, points)
+    xs = np.linspace(-extent, extent, points)
     G.classify_grid(metric, (xs[:, None] + 1j * xs[None, :]).ravel(), 1.0, paths_fn=paths_fn)
     monkeypatch.undo()
     return calls
 
 
-@pytest.mark.parametrize("metric,points,paths_fn", [
-    (M.ExplicitDiagonal([_signed_atoms(12)[i % 12] for i in range(48)]), 20, None),
-    (M.ExplicitDiagonal(list(_signed_atoms(33))), 31, None),
-    (M.ExplicitDiagonal(list(_signed_atoms(128))), 20, None),
-    (M.Signature(k=64, n=256), 41, lambda w: T.continuation_paths(w, 0.25, 1.0)),
-], ids=["atoms12", "signed33", "atoms128", "signature"])
+@pytest.mark.parametrize("metric,points,paths_fn,extent,walks", [
+    (M.ExplicitDiagonal([_signed_atoms(12)[i % 12] for i in range(48)]), 20, None, 1.2, 1),
+    (M.ExplicitDiagonal(list(_signed_atoms(33))), 31, None, 1.2, 1),
+    (M.ExplicitDiagonal(list(_signed_atoms(128))), 20, None, 1.2, 1),
+    (M.Signature(k=64, n=256), 41, lambda w: T.continuation_paths(w, 0.25, 1.0), 1.2, 1),
+    (M.Signature(k=64, n=256), 41, lambda w: T.continuation_paths(w, 0.25, 1.0), 2.5, 2),
+], ids=["atoms12", "signed33", "atoms128", "signature", "signature_wide"])
 def test_tracker_keeps_the_branches_of_the_nearest_pole_bound(monkeypatch, metric, points,
-                                                              paths_fn):
+                                                              paths_fn, extent, walks):
     """The tighter gamma bound takes longer steps but lands on the same
     branch as the plain step loop under the nearest-pole bound, on the grid
-    paths and on the side-limit rays that share their one walk, and flags
-    the same points."""
-    calls = _tracker_calls(monkeypatch, metric, points, paths_fn)
-    assert len(calls) == 1
+    paths, on the side-limit walks that share their one walk and on the
+    steps back to the axis of the points off the cut (the wide grid reaches
+    past the band edge 1.63), and flags the same points."""
+    calls = _tracker_calls(monkeypatch, metric, points, paths_fn, extent)
+    assert len(calls) == walks
     for args, (b, coll) in calls:
         b_ref, coll_ref = _plain_track(*args, _gamma_nearest)
         assert np.array_equal(coll, coll_ref)
@@ -634,20 +662,42 @@ def _cone_arc_table(w, lam, m):
     return np.concatenate([ray, arc, w[None, :]], axis=0)
 
 
-def _held(table, rows):
-    """``table`` padded to ``rows`` rows by repeating its first."""
-    return np.concatenate([np.repeat(table[:1], rows - len(table), axis=0), table])
+def _side_limit_table(limit, metric, m):
+    """Rays at the launch angle down to |limit| and arcs at |limit| to
+    arg(limit) as one (L, n) array, the walk to each side limit."""
+    r = np.abs(limit)
+    start = G.START_RADIUS_FACTOR * np.maximum(2.0 * M.support_radius(metric) / m, r)
+    theta = np.angle(limit)
+    launch = np.sign(theta) * np.where(np.abs(theta) <= np.pi / 2.0, G.LAUNCH_ANGLE,
+                                       np.pi - G.LAUNCH_ANGLE)
+    t = np.linspace(0.0, 1.0, G.PATH_STEPS + 1)[:, None]
+    ray = (r[None, :] * (start / r)[None, :] ** (1.0 - t)) * np.exp(1j * launch)[None, :]
+    t = np.linspace(0.0, 1.0, G.SIDE_ARC_ROWS)[:, None]
+    arc = r[None, :] * np.exp(1j * (launch[None, :] + t * (theta - launch)[None, :]))
+    return np.concatenate([ray, arc, limit[None, :]])
+
+
+def _step_table(w, limit):
+    """The step from each side limit back to its axis point w as one (L, n)
+    array: a ray from |limit| to |w| at arg(limit), an arc at |w| to arg(w)."""
+    r, start, th0, theta = np.abs(w), np.abs(limit), np.angle(limit), np.angle(w)
+    t = np.array([0.0, 1.0])[:, None]
+    ray = (r[None, :] * (start / r)[None, :] ** (1.0 - t)) * np.exp(1j * th0)[None, :]
+    arc = r[None, :] * np.exp(1j * (th0[None, :] + t * (theta - th0)[None, :]))
+    return np.concatenate([ray, arc, w[None, :]])
 
 
 @pytest.mark.parametrize("lam", [0.125, 0.25, 0.375])
 def test_path_records_match_the_waypoint_arrays_bit_for_bit(monkeypatch, lam):
-    """The record ``classify_grid`` walks on a signature grid with the exact
-    real axis holds, row for row, the bits of the waypoint arrays: cone rays
-    and arcs off the axis, default rays held one row on it, and default rays
-    to the side limits, all in one walk."""
+    """The records ``classify_grid`` walks on a signature grid with the exact
+    real axis hold, row for row, the bits of the waypoint arrays: cone rays
+    and arcs off the axis and launch-angle rays and arcs to the side limits
+    in the one walk, then the ray-and-arc steps from the side limits back to
+    the real-axis points off the cut, both half-planes of the axis."""
     metric, m = SIGNATURES[lam], 1.0
     xs = np.linspace(-1.2, 1.2, 21)
-    w = np.concatenate([(xs[:, None] + 1j * xs[None, :]).ravel(), [0.0, 1e-12j, -1e-300j]])
+    w = np.concatenate([(xs[:, None] + 1j * xs[None, :]).ravel(),
+                        [0.0, 1e-12j, -1e-300j, 1.9, -1.95, -1.9 - 1e-300j, 1.85 - 0j]])
     paths_fn = lambda ws: T.continuation_paths(ws, lam, m)
     calls, track = [], _roots.track
 
@@ -657,22 +707,24 @@ def test_path_records_match_the_waypoint_arrays_bit_for_bit(monkeypatch, lam):
 
     monkeypatch.setattr(_roots, "track", recorded)
     G.classify_grid(metric, w, m, paths_fn=paths_fn)
-    assert len(calls) == 1                   # one walk, no retry
-    first = calls[0]
+    assert len(calls) == 2                   # one walk, one step back, no retry
+    first, step = calls
     wr = w[~G.solve_nonholomorphic_batch(metric, w, m)[3]]
     eps = 1e-9 * max(1.0, 2.0 * M.support_radius(metric) / m)
     axis = np.abs(wr.imag) < 1e-3 * eps
-    wa = wr[axis]
+    wa, wo = wr[axis], wr[~axis]
     limit = (wa.real + eps * np.where(wa.real >= 0.0, 1.0, -1.0)
              + 1j * 1e-3 * eps * np.where(wa.imag < 0.0, -1.0, 1.0))
-    assert first.w.tobytes() == np.concatenate([wr, limit]).tobytes()
-    expected = _cone_arc_table(wr, lam, m)
-    expected[:, axis] = _held(_ray_table(wa, metric, m), len(expected))
+    assert first.w.tobytes() == np.concatenate([wo, limit]).tobytes()
     rows = _table(first)
-    assert rows[:, :len(wr)].tobytes() == expected.tobytes()
-    side = _ray_table(limit, metric, m)
-    assert rows[:len(side), len(wr):].tobytes() == side.tobytes()
-    assert (first.last[len(wr):] == len(side) - 1).all()
+    cone = _cone_arc_table(wo, lam, m)
+    assert rows[:len(cone), :len(wo)].tobytes() == cone.tobytes()
+    side = _side_limit_table(limit, metric, m)
+    assert rows[:len(side), len(wo):].tobytes() == side.tobytes()
+    assert (first.last[len(wo):] == len(side) - 1).all()
+    off_cut = np.abs(wa.real) > T.band_edge(lam, m)
+    assert step.w.tobytes() == wa[off_cut].tobytes()
+    assert _table(step).tobytes() == _step_table(wa[off_cut], limit[off_cut]).tobytes()
     assert _table(paths_fn(wr)).tobytes() == _cone_arc_table(wr, lam, m).tobytes()
     assert _table(G._default_paths(wr, metric, m)).tobytes() == _ray_table(wr, metric, m).tobytes()
 
@@ -690,7 +742,8 @@ def test_grid_entries_are_single_points_bit_for_bit(name):
     point i, for points with |w| below 2 rho/m (rho the support radius), where
     every start radius is 200 rho/m: a track's bits do not depend on the
     tracks that share its walk.  Real-axis points inside and outside the
-    band, both phases and both half-planes."""
+    band, so side limits and steps back to the axis, both phases and both
+    half-planes."""
     metric, m = _BIT_METRICS[name], 1.0
     reach = 1.8 * M.support_radius(metric) / m
     rng = np.random.default_rng(17)
@@ -698,9 +751,11 @@ def test_grid_entries_are_single_points_bit_for_bit(name):
     w = r * np.exp(1j * th)
     w[::6] = w[::6].real + 0j
     w[1::12] = np.conj(w[1::12]) * 1e-200
+    w = np.concatenate([w, [1.75, -1.7 - 1e-300j]])   # past the signature's band edge 1.63
     grid = G.classify_grid(metric, w, m)
     assert set(grid.phase.tolist()) >= {G.HOLOMORPHIC, G.NONHOLOMORPHIC}
     assert any(grid.note)
+    assert any((np.abs(w.imag) < 1e-200) & (grid.phase == G.HOLOMORPHIC) & (grid.note == ""))
     for i, wi in enumerate(w):
         if grid.phase[i] == G.UNRESOLVED:
             with pytest.raises(G.BranchPointProximity):
@@ -710,6 +765,129 @@ def test_grid_entries_are_single_points_bit_for_bit(name):
         for field in vars(one):
             assert (np.asarray(getattr(entry, field)).tobytes()
                     == np.asarray(getattr(one, field)).tobytes()), (i, field)
+
+
+@pytest.mark.parametrize("k", [64, 96, 115, 123])
+def test_real_axis_green_matches_the_closed_form_density(k):
+    """Im G(x + i0) = -pi rho_real(x) for Signature(k, 256) at 121 points of
+    [-1.5, 1.5], less x = 0: side limits, noted, where rho > 0 and values
+    on the axis, with no note, where rho = 0.  Off the cut Im G is 0 to
+    within 1e-76, hence the absolute floor.  x = 0 is left out because on
+    Signature(123, 256) its side limit lands on a root b ~ -8e-11 next to
+    the pole of the gap equation, with G ~ 5e8 against -0.039."""
+    x = np.delete(np.linspace(-1.5, 1.5, 121), 60)
+    sol = G.classify_grid(M.Signature(k=k, n=256), x + 0j, 1.0)
+    assert (sol.phase == G.HOLOMORPHIC).all()
+    expected = -np.pi * T.rho_real(x, k / 256, 1.0)
+    np.testing.assert_allclose(sol.green.imag, expected, rtol=1e-3, atol=1e-12)
+    assert ((sol.note != "") == (expected != 0.0)).all()
+
+
+class _CountedRows:
+    """A path record whose ``rows`` calls are counted.  ``_roots.track``
+    makes two before its loop and one per lockstep iteration."""
+
+    def __init__(self, paths):
+        self.paths, self.w, self.last, self.calls = paths, paths.w, paths.last, 0
+
+    def rows(self, k, idx):
+        self.calls += 1
+        return self.paths.rows(k, idx)
+
+
+def test_default_signature_grid_takes_at_most_100_lockstep_iterations(monkeypatch):
+    """``gap_grid``'s default 101^2 grid on Signature(64, 256): the walks to
+    the 101 real-axis side limits keep clear of the band edge, so every
+    tracker call together runs at most 100 lockstep iterations (424 when
+    each axis point was walked along the axis and to a side limit grazing
+    past the edge)."""
+    counted, track = [], _roots.track
+
+    def recorded(mu, c, m, paths, b0):
+        counted.append(_CountedRows(paths))
+        return track(mu, c, m, counted[-1], b0)
+
+    monkeypatch.setattr(_roots, "track", recorded)
+    xs = np.linspace(-1.2, 1.2, 101)
+    G.classify_grid(M.Signature(k=64, n=256), (xs[:, None] + 1j * xs[None, :]).ravel(), 1.0,
+                    paths_fn=lambda w: T.continuation_paths(w, 0.25, 1.0))
+    assert counted and sum(rec.calls - 2 for rec in counted) <= 100
+
+
+def _two_walk_rule(metric, x, m):
+    """The real-axis rule the one walk replaced, kept as an oracle: a default
+    ray to x and one to its side limit, in one walk; x's own value where its
+    ray does not collide, else the side limit, noted, else UNRESOLVED.
+    Returns (b, green, phase, noted, agree): ``agree`` marks the points
+    where the two rays tell one story, the axis ray collided or it ends
+    within 1e-6 of the side limit."""
+    eps = 1e-9 * max(1.0, 2.0 * M.support_radius(metric) / m)
+    limit = (x.real + eps * np.where(x.real >= 0.0, 1.0, -1.0)
+             + 1j * 1e-3 * eps * np.where(x.imag < 0.0, -1.0, 1.0))
+    paths = _roots.Paths.concat([G._default_paths(x, metric, m),
+                                 G._default_paths(limit, metric, m)])
+    b, g, _, coll = G.solve_holomorphic_batch(metric, np.concatenate([x, limit]), m, paths=paths)
+    n = len(x)
+    side = coll[:n]
+    phase = np.where(side & coll[n:], G.UNRESOLVED, G.HOLOMORPHIC)
+    agree = side | (np.abs(b[:n] - b[n:]) <= 1e-6)
+    return (np.where(side, b[n:], b[:n]), np.where(side, g[n:], g[:n]), phase,
+            side & ~coll[n:], agree)
+
+
+def _cut_edges(metric, x, m, halvings):
+    """Brackets, ``halvings`` times bisected in lockstep, of the points where
+    ``classify_grid``'s real-axis answer changes, phase or note, between
+    neighbours of the sorted points x."""
+    def kind(v):
+        sol = G.classify_grid(metric, v + 0j, m)
+        return np.char.add(sol.phase.astype(str), sol.note.astype(str))
+
+    k = kind(x)
+    j = np.flatnonzero(k[:-1] != k[1:])
+    lo, hi, k_lo = x[j], x[j + 1], k[j]
+    for _ in range(halvings):
+        mid = (lo + hi) / 2.0
+        same = kind(mid) == k_lo
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return lo, hi
+
+
+@settings(max_examples=10, deadline=None)
+@given(metric=st.builds(_atomic_metric, st.integers(4, 33), st.integers(0, 2**32 - 1)),
+       near=st.lists(st.floats(-9.0, -3.0), min_size=1, max_size=3))
+def test_one_walk_matches_the_two_walk_rule_where_that_rule_agrees(metric, near):
+    """At real-axis points inside, outside and near the band edges of random
+    signed atomic metrics, wherever the two-walk rule's rays agree, the one
+    walk gives the same phase and note and the same b and G to 1e-12.
+
+    The points stay inside 2 rho/m, where every ray of the two-walk rule
+    starts at 200 rho/m whatever the batch, and off x = 0, where every
+    pole of the gap equation meets at b = 0 and both rules land on a root
+    b ~ 1e-11 with G ~ 1/b.  The metrics keep |tr B|/N at least twice
+    LAUNCH_ANGLE times rho: the eigenvalue-free cone round the real axis
+    narrows as tr B -> 0 (for the +-1 metric sin theta0 = |tr B|/N), and
+    a launch ray outside it can cross a blob onto another sheet."""
+    m = 1.0
+    rho = M.support_radius(metric)
+    assume(abs(M.trace_over_n(metric)) >= 2.0 * G.LAUNCH_ANGLE * rho)
+    reach = 1.95 * rho / m
+    x = np.linspace(-reach, reach, 44)
+    lo, hi = _cut_edges(metric, x, m, 12)
+    offsets = 10.0 ** np.array(near)
+    mid = (lo + hi)[:, None] / 2.0
+    x = np.concatenate([x, lo, hi, (mid - offsets).ravel(), (mid + offsets).ravel()])
+    x = np.clip(x[x != 0.0], -reach, reach) + 0j
+    sol = G.classify_grid(metric, x, m)
+    hol = sol.phase != G.NONHOLOMORPHIC
+    b, g, phase, noted, agree = _two_walk_rule(metric, x[hol], m)
+    one = sol.take(np.flatnonzero(hol))
+    assert agree.any()
+    assert (one.phase[agree] == phase[agree]).all()
+    assert ((one.note != "")[agree] == noted[agree]).all()
+    ok = agree & (phase == G.HOLOMORPHIC)
+    assert np.max(np.abs(one.b - b)[ok], initial=0.0) <= 1e-12
+    assert np.max(np.abs(one.green - g)[ok], initial=0.0) <= 1e-12
 
 
 class TestTracker:

@@ -194,6 +194,23 @@ class TestConfig:
             make_cfg(tmp_path, experiment="gap_grid", **overrides)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"experiment": "real_density", "hist_range": [np.nan, 1.0]},
+        {"experiment": "real_density", "hist_range": [-1.0, np.inf]},
+        {"experiment": "real_density", "hist_range": [1.0, 1.0]},
+        {"experiment": "real_density", "hist_range": [1.0, -1.0]},
+        {"experiment": "real_fraction_sweep", "lambdas": [np.nan]},
+        {"experiment": "real_fraction_sweep", "lambdas": [0.25, np.inf]},
+        {"experiment": "real_fraction_sweep", "lambdas": [1.5]},
+        {"experiment": "real_fraction_sweep", "lambdas": [-0.25]},
+    ], ids=["hist_range_nan", "hist_range_inf", "hist_range_empty", "hist_range_reversed",
+            "lambdas_nan", "lambdas_inf", "lambdas_above_one", "lambdas_below_zero"])
+    def test_bad_ranges_fail_typed_when_parsed(self, tmp_path, overrides):
+        # refused by from_dict, before any sample is drawn
+        with pytest.raises(C.ConfigError):
+            make_cfg(tmp_path, **overrides)
+        assert not (tmp_path / "out").exists()
+
 
 class TestSampling:
     def test_threads_reduction_identical(self, tmp_path):
