@@ -83,10 +83,16 @@ class PhSample:
 
 
 def _standard_normal_matrix(rng: Generator, n: int) -> np.ndarray:
+    """sqrt(-2 ln(1-u1)) cos(2 pi u2), computed in the buffers of u1 and u2."""
     u1 = rng.random((n, n))
     u2 = rng.random((n, n))
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    return r * np.cos(2.0 * np.pi * u2)
+    r = np.negative(u1, out=u1)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    u2 *= 2.0 * np.pi
+    r *= np.cos(u2, out=u2)
+    return r
 
 
 def sample_gue(n: int, m: float, seed: int) -> np.ndarray:
@@ -94,7 +100,11 @@ def sample_gue(n: int, m: float, seed: int) -> np.ndarray:
 
     A is hermitian bit-exactly: it is assembled as the symmetric part
     of one real normal matrix plus i times the antisymmetric part of a
-    second one, both scaled afterwards.
+    second one, both scaled afterwards.  The parts are written straight
+    into A's real and imaginary halves and A is scaled in place; the
+    division is numpy's complex one, so the bits are those of
+    ``((g + g.T) + 1j * (h - h.T)) / (2 sqrt(n)) / m`` up to the sign of
+    an entry that is exactly zero.
     """
     if n < 1 or not m > 0:
         raise ValueError("need n >= 1 and m > 0")
@@ -103,8 +113,13 @@ def sample_gue(n: int, m: float, seed: int) -> np.ndarray:
     h = _standard_normal_matrix(rng, n)
     # (g+g')/2 has unit-variance diagonal and 1/2-variance off-diagonal,
     # (h-h')/2 has 1/2-variance off-diagonal: exactly the GUE ratios.
-    base = ((g + g.T) + 1j * (h - h.T)) / (2.0 * np.sqrt(n))
-    return base / m
+    a = np.empty((n, n), dtype=complex)
+    np.add(g, g.T, out=a.real)
+    np.subtract(h, h.T, out=a.imag)
+    a /= 2.0 * np.sqrt(n)
+    if m != 1.0:   # dividing by 1.0 leaves every nonzero part as it is
+        a /= m
+    return a
 
 
 def make_ph(a: np.ndarray, metric: Metric) -> PhSample:

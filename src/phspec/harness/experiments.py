@@ -9,6 +9,9 @@ the report and its provenance, runs ``fn`` under one ``Stopwatch`` on one
 BLAS thread, records the laps and the runtime, and writes ``report.json``.
 Sampling workers run on one BLAS thread too (``_blas.map_samples``), so
 no experiment's bits depend on the thread or core count of the machine.
+The runner holds one ``_blas.pool_scope`` around ``fn``: every map of a
+run shares one set of workers, started at the run's first map and shut
+down before the runner returns.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def experiment(name: str):
     def register(fn):
         @functools.wraps(fn)
         def runner(cfg: RunConfig) -> ComparisonReport:
-            with _blas.single_thread(), Stopwatch() as sw:
+            with _blas.single_thread(), _blas.pool_scope(), Stopwatch() as sw:
                 rep = ComparisonReport(experiment=cfg.experiment, config=cfg.to_dict(),
                                        config_hash=cfg.content_hash(),
                                        provenance=provenance(1))
@@ -389,8 +392,8 @@ def _identity_draw(seed: int, m: float, i: int) -> tuple[dict, int]:
 def run_verify(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> None:
     """Exact finite-N identities at small N plus the averaged gap equations.
 
-    Each of the three stages maps its draws over ``cfg.threads`` worker
-    processes and reduces them in draw order, so every residual is
+    Each of the three stages maps its draws over the run's ``cfg.threads``
+    worker processes and reduces them in draw order, so every residual is
     bit-identical for any ``threads``.
     """
     tolerances = {}
@@ -436,8 +439,8 @@ def run_verify(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> None:
                            master_seed=cfg.seed + 1, num_samples=num_avg),
         z=np.sqrt(3.0 + 0.0j) / cfg.m, threads=cfg.threads)
     check("resolvent_mc", mc["rel_deviation"], THRESHOLDS["resolvent_mc_rel"])
-    sw.lap("resolvent")
     _write_verification_array(cfg, rep, tolerances)
+    sw.lap("resolvent")   # with the write, as other runs' last laps hold theirs
 
 
 def _write_verification_array(cfg: RunConfig, rep: ComparisonReport,

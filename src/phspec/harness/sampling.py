@@ -5,10 +5,12 @@ stream, so it is the same matrix in whatever process and order it is
 drawn.  The samples go through ``_blas.map_samples``, the sample map
 that the finite-N checks of ``hermcheck`` and ``verify`` use too: every
 eigensolve runs on one OpenBLAS thread, and the samples are spread over
-worker processes instead (``threads``, all cores by default).  Results
-are reduced in sample-index order, so spectra, and the reports built
-from them, are bit-identical for any ``threads`` and any core count or
-BLAS thread setting of the machine.
+worker processes instead (``threads``, all cores by default), those of
+the run's ``_blas.pool_scope`` when an experiment runner calls, so a
+sweep over several metrics starts its workers once.  Results are
+reduced in sample-index order, so spectra, and the reports built from
+them, are bit-identical for any ``threads`` and any core count or BLAS
+thread setting of the machine.
 """
 
 from __future__ import annotations

@@ -28,7 +28,10 @@ are probed via the trend in s instead.
 The averaged checks map their draws over worker processes through
 ``_blas.map_samples`` (``threads``, all cores by default), one BLAS
 thread each, and sum the per-draw traces in sample-index order, so
-their residuals are bit-identical for any ``threads``.
+their residuals are bit-identical for any ``threads``.  Inside a
+``_blas.pool_scope``, such as an experiment run, they share its
+workers.  A draw allocates only what it reads: the gap traces draw A
+alone, and the resolvent builds z^2 - phi in phi's buffer.
 """
 
 from __future__ import annotations
@@ -205,8 +208,8 @@ class GapResidualReport:
 
 
 def _gap_traces(config: ens.EnsembleConfig, s: float, z: complex, idx: int):
-    """Block traces of draw ``idx`` at s and at s/2."""
-    a = ens.draw_sample(config, idx).a_matrix
+    """Block traces of draw ``idx`` at s and at s/2; they read A and B, not phi."""
+    a = ens.sample_gue(config.n, config.m, ens.mix_seed(config.master_seed, idx))
     return (block_traces(a, config.metric, s, z),
             block_traces(a, config.metric, s / 2.0, z))
 
@@ -260,9 +263,11 @@ def averaged_gap_residual(config: ens.EnsembleConfig, s: float, z: complex, *,
 
 
 def _resolvent_trace(config: ens.EnsembleConfig, z: complex, idx: int):
-    """(1/N) tr[z/(z^2 - A B)] of draw ``idx``."""
-    phi = ens.draw_sample(config, idx).phi
-    return z * np.trace(np.linalg.inv(z * z * np.eye(config.n) - phi)) / config.n
+    """(1/N) tr[z/(z^2 - A B)] of draw ``idx``; z^2 - phi is built in phi's buffer."""
+    core = ens.draw_sample(config, idx).phi
+    np.negative(core, out=core)
+    core[np.diag_indices(config.n)] += z * z
+    return z * np.trace(np.linalg.inv(core)) / config.n
 
 
 def resolvent_vs_formula(config: ens.EnsembleConfig, z: complex, *,

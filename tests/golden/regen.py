@@ -70,7 +70,7 @@ RUNS = {
     "theory": ("theory", {"experiment": "real_density", "metric": _SIG64, "n": 64}),
 }
 
-_COMMON = {"m": 1.0, "seed": 7, "threads": 1}
+_COMMON = {"m": 1.0, "seed": 7}
 
 
 def fingerprint() -> dict:
@@ -114,12 +114,15 @@ def _run(how: str, cfg: dict, workdir: str) -> str:
     return printed.getvalue()
 
 
-def outputs(workdir: str) -> dict:
-    """"<run>/<file>" -> SHA-256 of every output of ``RUNS``, run in ``workdir``."""
+def outputs(workdir: str, names=tuple(RUNS), threads: int = 1) -> dict:
+    """"<run>/<file>" -> SHA-256 of every output of the ``RUNS`` in ``names``,
+    run in ``workdir`` on ``threads`` worker processes (the manifest's on one)."""
     hashes = {}
-    for name, (how, cfg) in RUNS.items():
+    for name in names:
+        how, cfg = RUNS[name]
         out_dir = os.path.join(workdir, name)
-        printed = _run(how, {**cfg, **_COMMON, "out_dir": out_dir}, workdir)
+        printed = _run(how, {**cfg, **_COMMON, "threads": threads, "out_dir": out_dir},
+                       workdir)
         if how == "theory":
             hashes[f"{name}/stdout"] = _sha256(printed.encode())
         for fname in sorted(os.listdir(out_dir)):

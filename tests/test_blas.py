@@ -25,6 +25,10 @@ def _blas_threads(i):
     return _blas.num_threads()
 
 
+def _keeps_freed_blocks(i):
+    return _blas._keep_freed_blocks()
+
+
 @contextlib.contextmanager
 def parent_on_two_blas_threads():
     """Run the block with this process's OpenBLAS on two threads; yields
@@ -72,3 +76,10 @@ def test_map_samples_runs_on_one_blas_thread(threads):
         one = None if parent is None else 1
         assert _blas.map_samples(_blas_threads, 4, threads) == [one] * 4
         assert _blas.num_threads() == parent
+
+
+@pytest.mark.skipif(_blas._mallopt() is None, reason="no glibc mallopt")
+def test_workers_accept_the_malloc_thresholds():
+    # set again in each worker, where _init_worker set them first; mallopt
+    # returns 0 for a parameter or a value that this glibc refuses
+    assert _blas.map_samples(_keeps_freed_blocks, 2, 2) == [True, True]

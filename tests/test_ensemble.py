@@ -55,6 +55,32 @@ class TestSampleGue:
         assert np.var(offi) == pytest.approx(v / 2, rel=0.15)
 
 
+def _sample_gue_out_of_place(n, m, seed):
+    """``sample_gue`` as it was written before it worked in place."""
+    rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+
+    def normal():
+        u1 = rng.random((n, n))
+        u2 = rng.random((n, n))
+        r = np.sqrt(-2.0 * np.log1p(-u1))
+        return r * np.cos(2.0 * np.pi * u2)
+
+    g = normal()
+    h = normal()
+    base = ((g + g.T) + 1j * (h - h.T)) / (2.0 * np.sqrt(n))
+    return base / m
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 129])
+@pytest.mark.parametrize("m", [1.0, 0.7, 3.0])
+def test_sample_gue_bits_match_the_out_of_place_formula(n, m):
+    for i in range(20):
+        seed = E.mix_seed(2024, i)
+        got, want = E.sample_gue(n, m, seed), _sample_gue_out_of_place(n, m, seed)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, m, i)
+
+
 class TestMakePh:
     def test_identity_metric_is_plain_hermitian(self):
         a = E.sample_gue(4, 1.0, 5)

@@ -1,4 +1,5 @@
-"""Every output byte of eight small runs against ``tests/golden/manifest.json``.
+"""Every output byte of eight small runs against ``tests/golden/manifest.json``,
+and of the three runs that map samples again on two workers.
 
 A refactor that claims to move no result must pass this test unchanged;
 a change that moves results rewrites the manifest with
@@ -17,14 +18,30 @@ regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 
 
-def test_outputs_match_golden_manifest(tmp_path):
+def _manifest() -> dict:
     manifest = json.loads((_GOLDEN / "manifest.json").read_text())
     here = regen.fingerprint()
     moved = {key: (value, here.get(key)) for key, value in manifest["platform"].items()
              if here.get(key) != value}
     if moved:
         pytest.skip(f"golden manifest made on another platform: {moved}")
+    return manifest["outputs"]
+
+
+def test_outputs_match_golden_manifest(tmp_path):
+    manifest = _manifest()
     hashes = regen.outputs(str(tmp_path))
-    assert sorted(hashes) == sorted(manifest["outputs"])
-    changed = [name for name, digest in hashes.items() if digest != manifest["outputs"][name]]
+    assert sorted(hashes) == sorted(manifest)
+    changed = [name for name, digest in hashes.items() if digest != manifest[name]]
     assert not changed, f"outputs differ from the golden manifest: {changed}"
+
+
+def test_two_worker_outputs_match_golden_manifest(tmp_path):
+    # the manifest's runs map on one process; the same runs spread over two
+    # workers of one shared pool must write the same bytes (report.json
+    # enters without its provenance, which records the worker count)
+    manifest = _manifest()
+    hashes = regen.outputs(str(tmp_path), ("real_density", "semicircle", "verify"), threads=2)
+    assert len(hashes) == 8
+    changed = [name for name, digest in hashes.items() if digest != manifest[name]]
+    assert not changed, f"two-worker outputs differ from the golden manifest: {changed}"

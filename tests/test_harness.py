@@ -1,6 +1,9 @@
+import concurrent.futures
 import contextlib
 import json
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -524,6 +527,67 @@ def test_single_thread_scopes_blas_threads():
             assert get() == 1
             raise RuntimeError
     assert get() == before
+
+
+class TestPoolScope:
+    """One worker pool per run, shut down before ``experiments.run`` returns."""
+
+    @pytest.fixture
+    def pools_built(self, monkeypatch):
+        built = []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        return built
+
+    def test_verify_starts_one_pool_and_leaves_no_worker(self, tmp_path, pools_built):
+        X.run(make_cfg(tmp_path, experiment="verify", samples=12, threads=2))
+        assert pools_built == [2]          # three maps, one pool
+        assert multiprocessing.active_children() == []
+
+    def test_sweep_starts_one_pool(self, tmp_path, pools_built):
+        X.run(make_cfg(tmp_path, experiment="real_fraction_sweep", samples=4, threads=2,
+                       lambdas=[0.25, 0.375, 0.5]))
+        assert pools_built == [2]          # one map per lambda, one pool
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_sample_reaches_the_caller_and_stops_the_run(self, tmp_path,
+                                                                   monkeypatch):
+        # patched before the run, so the workers forked at its first map see it
+        calls = tmp_path / "calls"
+        calls.mkdir()
+        draw = E.draw_sample
+
+        def failing_draw(config, idx):
+            (calls / str(idx)).touch()
+            if idx == 3:
+                raise ValueError(f"draw {idx}")
+            time.sleep(0.02)
+            return draw(config, idx)
+
+        monkeypatch.setattr(E, "draw_sample", failing_draw)
+        with pytest.raises(ValueError, match="draw 3$"):
+            X.run(make_cfg(tmp_path, experiment="verify", samples=64, threads=2))
+        assert multiprocessing.active_children() == []
+        # the map's 64 draws go out in chunks of two; the chunks still queued
+        # behind the failure are cancelled, not run
+        assert 4 <= len(list(calls.iterdir())) <= 32
+
+    def test_nested_scopes_share_one_pool(self, pools_built):
+        with _blas.pool_scope():
+            with _blas.pool_scope():
+                assert _blas.map_samples(abs, 4, 2) == [0, 1, 2, 3]
+            assert multiprocessing.active_children() != []   # the outer scope holds it
+            assert _blas.map_samples(abs, 6, 2) == list(range(6))
+        assert pools_built == [2]
+        assert multiprocessing.active_children() == []
+        assert _blas.map_samples(abs, 4, 2) == [0, 1, 2, 3]   # alone: its own pool
+        assert pools_built == [2, 2]
+        assert multiprocessing.active_children() == []
 
 
 class TestCli:

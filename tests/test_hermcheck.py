@@ -1,11 +1,16 @@
+import resource
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phspec import _blas
 from phspec import ensemble as E
 from phspec import hermcheck as H
 from phspec import metric as M
 from phspec import theory as T
+from test_ensemble import _sample_gue_out_of_place
 
 
 SIG8 = M.Signature(k=2, n=8)
@@ -195,12 +200,69 @@ class TestResolventMc:
         one, two = (H.resolvent_vs_formula(cfg, 0.8 + 0.3j, threads=t) for t in (1, 2))
         assert one == two
 
+    @pytest.mark.skipif(_blas._mallopt() is None, reason="no glibc mallopt")
+    def test_workers_reuse_freed_draws(self):
+        # minor page faults of the two workers, start-up included, per draw:
+        # 272 when every n = 128 matrix was mapped and faulted in afresh,
+        # 16 with the workers' malloc keeping freed blocks in its heap
+        cfg = E.EnsembleConfig(n=128, m=1.0, metric=M.Signature(k=32, n=128),
+                               master_seed=3, num_samples=200)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        H.resolvent_vs_formula(cfg, np.sqrt(3.0), threads=2)
+        faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+        assert faults / cfg.num_samples <= 50
+
     def test_large_w_trivial(self):
         cfg = E.EnsembleConfig(n=32, m=1.0, metric=M.Signature(k=8, n=32),
                                master_seed=12, num_samples=50)
         z = 4.0 + 0.0j
         rep = H.resolvent_vs_formula(cfg, z)
         assert rep["mc"] == pytest.approx(1.0 / z, abs=0.01)
+
+
+def _gap_traces_from_draw_sample(config, s, z, idx):
+    """``hermcheck._gap_traces`` as it was written when it took A from
+    ``draw_sample``, with the out-of-place draw of ``test_ensemble``."""
+    a = _sample_gue_out_of_place(config.n, config.m, E.mix_seed(config.master_seed, idx))
+    return (H.block_traces(a, config.metric, s, z),
+            H.block_traces(a, config.metric, s / 2.0, z))
+
+
+def _resolvent_trace_out_of_place(config, z, idx):
+    """``hermcheck._resolvent_trace`` as it was written with ``np.eye``."""
+    a = _sample_gue_out_of_place(config.n, config.m, E.mix_seed(config.master_seed, idx))
+    phi = E.make_ph(a, config.metric).phi
+    return z * np.trace(np.linalg.inv(z * z * np.eye(config.n) - phi)) / config.n
+
+
+def _bits(x):
+    return np.ascontiguousarray(np.atleast_1d(x)).view(np.int64)
+
+
+def _kernel_configs():
+    # EnsembleConfig refuses n = 1; the kernels read only these fields
+    for n in (1, 2, 8, 64, 129):
+        for m in (1.0, 0.7, 3.0):
+            yield types.SimpleNamespace(n=n, m=m, metric=M.Signature(k=n // 4, n=n),
+                                        master_seed=31)
+
+
+def test_gap_traces_bits_match_the_reference():
+    for config in _kernel_configs():
+        for i in range(20):
+            got = H._gap_traces(config, 0.1, np.sqrt(0.05 + 0.55j), i)
+            want = _gap_traces_from_draw_sample(config, 0.1, np.sqrt(0.05 + 0.55j), i)
+            for g, w in zip(got, want):
+                assert np.array_equal(_bits(g), _bits(w)), (config, i)
+
+
+@pytest.mark.parametrize("z", [np.sqrt(3.0), 0.8 + 0.3j])
+def test_resolvent_trace_bits_match_the_reference(z):
+    for config in _kernel_configs():
+        for i in range(20):
+            got = H._resolvent_trace(config, z, i)
+            want = _resolvent_trace_out_of_place(config, z, i)
+            assert np.array_equal(_bits(got), _bits(want)), (config, i)
 
 
 def test_a_stale_positional_sample_count_is_refused():
