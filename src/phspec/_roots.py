@@ -55,7 +55,11 @@ def gamma_bound(q, fb, c):
     """Bound on Smale's gamma per row of pole terms q = 1/(b + w/mu), shape
     (n, d), with f' = ``fb`` and pole weights ``c``."""
     q_abs = np.abs(q)
-    return np.max(q_abs, axis=1) * np.maximum((q_abs * q_abs) @ np.abs(c) / np.abs(fb), 1.0)
+    # einsum sums each row alone, in an order set by the pole count, where a
+    # BLAS product rounds a row by its place in the batch; a reduction along
+    # short rows pays per row, so the maximum runs down the transpose
+    s2 = np.einsum("ij,j->i", q_abs * q_abs, np.abs(c))
+    return np.ascontiguousarray(q_abs.T).max(axis=0) * np.maximum(s2 / np.abs(fb), 1.0)
 
 
 def _linspace_at(i, num):

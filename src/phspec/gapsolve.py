@@ -90,10 +90,6 @@ class BranchPointProximity(RuntimeError):
     """Two branches could not be told apart along the continuation path."""
 
 
-class GapSolveError(RuntimeError):
-    pass
-
-
 @dataclass
 class GapSolution:
     """Solved gap-equation data, one array entry per point in input order;
@@ -403,6 +399,8 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> GapSoluti
     step, a short ray and arc from its side limit, in a second
     ``_roots.track`` call, and returns its value on the axis; where that
     step collides, near a band edge, it keeps the side limit and its note.
+    Im G(x + i0) = -pi rho_real(x) <= 0 for every metric, so a side limit
+    whose Im G has the other sign ended on another sheet and is UNRESOLVED.
     A point whose walk collides gets phase UNRESOLVED and nan numbers;
     nothing is walked again.
     """
@@ -433,6 +431,9 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> GapSoluti
         b_x, green_x, res_x, collided_x = _holomorphic_walk(metric, x, m, step, b[k])
         ok = ~collided_x
         b[k[ok]], green[k[ok]], hres[k[ok]], wh[k[ok]] = b_x[ok], green_x[ok], res_x[ok], x[ok]
+    # Im G(x + i0) = -pi rho_real(x) <= 0 for every metric: a side limit of
+    # the other sign is a walk that ended on another sheet
+    collided |= (wh != wr) & (np.where(lower, -green.imag, green.imag) > 0.0)
     nan = np.full(len(w), np.nan)
     sol = GapSolution(w=w, phase=np.where(success, NONHOLOMORPHIC, UNRESOLVED), b=nan + 0j,
                       alpha=nan.copy(), beta=nan.copy(), zeta=nan + 0j, green=nan + 0j,
@@ -484,31 +485,6 @@ def phase_boundary(metric: Metric, thetas, m: float = 1.0) -> list[tuple[float, 
         hi[act] = np.where(same, hi[act], mid)
     crossings = (lo + hi) / 2.0
     return [(float(th), crossings[ray == i].tolist()) for i, th in enumerate(thetas)]
-
-
-def rho2_numeric(metric: Metric, xs: np.ndarray, ys: np.ndarray, m: float = 1.0):
-    """Pair density by Gauss's law: rho = (1/pi) Re[(dG/dx + i dG/dy)/2].
-
-    Every grid point (and thus a one-cell margin around the returned
-    interior) must solve in the non-holomorphic phase; a point that
-    does not means the grid touches the phase boundary and is refused.
-    """
-    xs = np.asarray(xs, float)
-    ys = np.asarray(ys, float)
-    w = (xs[:, None] + 1j * ys[None, :]).ravel()
-    s, beta, res, success = solve_nonholomorphic_batch(metric, w, m)
-    if not np.all(success):
-        bad = w[np.argmin(success)]
-        raise GapSolveError(
-            f"grid point ({bad.real}, {bad.imag}) is not interior to the non-holomorphic region"
-        )
-    g = _nonholomorphic_green(metric, w, s, beta).reshape(len(xs), len(ys))
-    hx = xs[1] - xs[0]
-    hy = ys[1] - ys[0]
-    gx = (g[2:, 1:-1] - g[:-2, 1:-1]) / (2.0 * hx)
-    gy = (g[1:-1, 2:] - g[1:-1, :-2]) / (2.0 * hy)
-    rho = ((gx + 1j * gy) / 2.0 / np.pi).real
-    return xs[1:-1], ys[1:-1], rho
 
 
 def _cmul(a, b):

@@ -23,6 +23,7 @@ import os
 import numpy as np
 
 from .. import _blas
+from .. import _roots
 from .. import ensemble as ens
 from .. import gapsolve
 from .. import hermcheck
@@ -304,6 +305,43 @@ def _audit_gap_grid(rep: ComparisonReport, cfg: RunConfig, sol: gapsolve.GapSolu
         rep.add_check("classification_boundary_band", misclass_far == 0, misclass_far)
 
 
+# blob-avoiding continuation paths, the signature grid's paths_fn
+PATH_STEPS = 64
+START_RADIUS_FACTOR = 100.0   # continuation starts at 100/m
+
+
+def continuation_paths(w: np.ndarray, lam: float, m: float) -> _roots.Paths:
+    """Per-point blob-avoiding paths from the start radius to w, as a record.
+
+    Ray-only where the straight ray stays clear of the blobs; cone ray
+    plus circular arc for targets below a blob, launched at half the
+    cone's opening angle.  Every point gets PATH_STEPS + 1 ray rows and as
+    many arc rows (a constant arc where it needs none), then w itself.
+    The ray and arc keep a radius of at least 1e-12 of the start radius.
+    """
+    theta = np.angle(w)
+    s0 = theory.sin_theta0(lam)
+    start_r = START_RADIUS_FACTOR / m
+    r = np.maximum(np.abs(w), 1e-12 * start_r)   # keep w = 0 off the division
+
+    needs_arc = np.zeros(w.shape, dtype=bool)
+    if s0 < 1.0:
+        st2 = np.sin(theta) ** 2
+        covered = st2 > s0 * s0          # ray direction crosses the blob sector
+        with np.errstate(invalid="ignore", divide="ignore"):
+            disc = np.sqrt(np.maximum(1.0 - (s0 * s0) / np.where(covered, st2, 1.0), 0.0))
+        r_minus = np.sqrt((1.0 - disc) / 2.0) / m
+        needs_arc = covered & (r < r_minus)
+
+    # launch angle inside the cone, on the same side and half as the target
+    half = 0.5 * np.arcsin(s0) if s0 < 1.0 else 0.25 * np.pi
+    theta_c = np.where(np.abs(theta) <= np.pi / 2.0, np.sign(theta) * half,
+                       np.sign(theta) * (np.pi - half))
+    theta_start = np.where(needs_arc, theta_c, theta)
+    return _roots.Paths(w, r, start_r, theta_start, theta, ray=PATH_STEPS + 1,
+                        arc=PATH_STEPS + 1)
+
+
 @experiment("gap_grid")
 def run_gap_grid(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> None:
     """Classify a w-grid with the gap solver; CSV and audit (closed forms for
@@ -315,7 +353,7 @@ def run_gap_grid(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> None:
     W = (X + 1j * Y).ravel()
     is_sig = isinstance(cfg.metric, Signature)
     lam = cfg.metric.lam if is_sig else None
-    paths_fn = (lambda ws: theory.continuation_paths(ws, lam, m)) if is_sig else None
+    paths_fn = (lambda ws: continuation_paths(ws, lam, m)) if is_sig else None
     sol = gapsolve.classify_grid(cfg.metric, W, m, paths_fn=paths_fn)
     sw.lap("classify")
     resolved = np.flatnonzero(sol.phase != gapsolve.UNRESOLVED)

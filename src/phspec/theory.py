@@ -10,37 +10,38 @@ large-N spectrum of phi = A*B consists of
   ``boundary_radii`` and the blob fraction is nu = 1 - |1-2 lam|.
 
 The averaged resolvent G(w) is algebraic: in the region free of
-complex eigenvalues it is built from the root b(w) of the cubic
+complex eigenvalues it is G = lam/(b + w) - (1 - lam)/(b - w), built
+from one root b(w) of the cubic
 
-    m^2 b^3 + (1 - m^2 w^2) b + w (1 - 2 lam) = 0
+    m^2 b^3 + (1 - m^2 w^2) b + w (1 - 2 lam) = 0,
 
-selected by continuity with the large-|w| branch b ~ (1-2 lam)/(m^2 w),
-and inside the blobs it takes the non-holomorphic value m^2 conj(w).
+the branch continuous with the large-|w| asymptote b ~ (1-2 lam)/(m^2 w);
+inside the blobs it takes the non-holomorphic value m^2 conj(w), which
+the branch meets on the blob boundary (Janik, Nowak, Papp and Zahed,
+Nucl. Phys. B 501, 1997).
 
-Root selection is done by the certified continuation of the generic
-gap solver (``_roots.track``), run on the pole-sum form
-m^2 b + lam/(b + w) + (1 - lam)/(b - w) = 0 of the cubic along a path
-that stays inside the holomorphic region and ends at w.  A straight
-ray from infinity is used whenever it avoids the blobs; for points
-lying between a blob and the real axis the path first descends inside
-the eigenvalue-free cone around the real axis and then swings along a
-circular arc at the target radius.  (A straight ray through a blob can land on a wrong
-sheet: the sewing corners of the blob boundary are branch points of
-the cubic, and continuation around them is path dependent.  The
-matching condition is continuity of b with i*beta on the blob
-boundary, which the cone-and-arc path respects.)
+``holomorphic_b`` picks that root from the three by a rule, with no
+continuation: keep the roots whose G has Im G * Im w <= 0, the sign of a
+resolvent off the real axis, and of those take the one with the largest
+Re b * sgn(Re w) * sgn(1 - 2 lam).  The rule is evaluated at -conj w
+for Re w < 0, by the symmetry b(-conj w) = -conj b(w), which makes b
+imaginary on Re w = 0.  On and next to that line Re b is rounding, so
+the roots rank as in the limit Re w -> 0+, by d Re b / d Re w.  The
+domain is w outside the blobs and off the real axis: on the axis the
+sign test is vacuous, so band values are side limits at +-i eps.  The
+closed-form leg shares no code with the gap solver, whose signature
+results it checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _roots
-from .gapsolve import BranchPointProximity
-
-PATH_STEPS = 64
-START_RADIUS_FACTOR = 100.0   # continuation starts at 100/m
 CDF_GRID = 20001              # points of the real-band CDF's trapezoidal sum
+# |Im w| at or below AXIS_TOL (|w| + 1/m) counts as on the real axis, where
+# the roots' rounding decides the sign of Im G, and |Re w| as on the line
+# Re w = 0, where it decides the order of Re b
+AXIS_TOL = 1e-12
 
 
 def _check(lam: float, m: float):
@@ -197,57 +198,16 @@ def gue_green(w, m: float = 1.0):
 
 
 # ---------------------------------------------------------------------------
-# branch-tracked cubic
+# holomorphic branch of the cubic
 # ---------------------------------------------------------------------------
 
-def continuation_paths(w: np.ndarray, lam: float, m: float) -> _roots.Paths:
-    """Per-point blob-avoiding paths from the start radius to w, as a record.
-
-    Ray-only where the straight ray stays clear of the blobs; cone ray
-    plus circular arc for targets below a blob.  Every point gets
-    PATH_STEPS + 1 ray rows and as many arc rows (a constant arc where it
-    needs none), then w itself.  The ray and arc keep a radius of at least
-    1e-12 of the start radius.  Also usable as the path input of the
-    generic gap solver when it runs on a signature metric.
-    """
-    theta = np.angle(w)
-    s0 = sin_theta0(lam)
-    start_r = START_RADIUS_FACTOR / m
-    r = np.maximum(np.abs(w), 1e-12 * start_r)   # keep w = 0 off the division
-
-    needs_arc = np.zeros(w.shape, dtype=bool)
-    if s0 < 1.0:
-        st2 = np.sin(theta) ** 2
-        covered = st2 > s0 * s0          # ray direction crosses the blob sector
-        with np.errstate(invalid="ignore", divide="ignore"):
-            disc = np.sqrt(np.maximum(1.0 - (s0 * s0) / np.where(covered, st2, 1.0), 0.0))
-        r_minus = np.sqrt((1.0 - disc) / 2.0) / m
-        needs_arc = covered & (r < r_minus)
-
-    # launch angle inside the cone, on the same side and half as the target
-    theta_c = np.where(
-        np.abs(theta) <= np.pi / 2.0,
-        np.sign(theta) * s0_half_angle(lam),
-        np.sign(theta) * (np.pi - s0_half_angle(lam)),
-    )
-    theta_start = np.where(needs_arc, theta_c, theta)
-    return _roots.Paths(w, r, start_r, theta_start, theta, ray=PATH_STEPS + 1,
-                        arc=PATH_STEPS + 1)
-
-
-def s0_half_angle(lam: float) -> float:
-    """Half the cone opening angle (angle of the mid-cone launch ray)."""
-    return 0.5 * np.arcsin(sin_theta0(lam)) if sin_theta0(lam) < 1.0 else 0.25 * np.pi
-
-
 def holomorphic_b(w, lam: float, m: float = 1.0):
-    """Branch b(w) of the cubic continued from the large-|w| asymptote.
+    """Branch b(w) of the cubic continuous with the large-|w| asymptote.
 
-    The cubic is the cleared form of the pole-sum gap equation
-    m^2 b + lam/(b + w) + (1 - lam)/(b - w) = 0, tracked by the generic
-    certified tracker with poles mu = (1, -1) and weights (lam, 1 - lam).
-    Valid for w outside the blobs and off the real band (use explicit
-    +-i eps offsets for band side limits).  For lam = 1/2 the traceless
+    The three roots come from one ``eigvals`` call on a stack of 3x3
+    companion matrices; the rule of the module docstring picks one.  Valid
+    for w outside the blobs with |Im w| > AXIS_TOL (|w| + 1/m); reach the
+    band through explicit +-i eps side limits.  For lam = 1/2 the traceless
     metric forces b = 0 identically outside the disk.
     """
     _check(lam, m)
@@ -259,14 +219,26 @@ def holomorphic_b(w, lam: float, m: float = 1.0):
         return complex(out[0]) if scalar else out
     if np.any(in_blobs(w, lam, m)):
         raise ValueError("holomorphic branch requested inside the blobs")
-    mu, c = np.array([1.0, -1.0]), np.array([lam, 1.0 - lam])
-    path = continuation_paths(w, lam, m)
-    asym = (1.0 - 2.0 * lam) / (m * m * path.row(0))
-    b, failed = _roots.track(mu[c > 0], c[c > 0], m, path, asym)
-    if np.any(failed):
-        raise BranchPointProximity(
-            f"branch tracking failed at {w[failed][:3]} (first few shown)"
-        )
+    if np.any(np.abs(w.imag) <= AXIS_TOL * (np.abs(w) + 1.0 / m)):
+        raise ValueError("holomorphic branch requested on the real axis; use side limits")
+    z = np.where(w.real < 0.0, -np.conj(w), w)     # b(-conj w) = -conj b(w)
+    m2, tilt = m * m, 1.0 - 2.0 * lam
+    companion = np.zeros((len(z), 3, 3), dtype=complex)   # of b^3 + p b + q
+    companion[:, 0, 1], companion[:, 0, 2] = (m2 * z * z - 1.0) / m2, -tilt * z / m2
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    zc = z[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = lam / (roots + zc) - (1.0 - lam) / (roots - zc)
+        # next to Re w = 0, where Re b is rounding, the roots rank as Re w -> 0+
+        # does, by d Re b / d Re w
+        slope = ((2.0 * m2 * zc * roots - tilt) / (3.0 * m2 * roots * roots + 1.0 - m2 * zc * zc)).real
+    line = zc.real <= AXIS_TOL * (np.abs(zc) + 1.0 / m)
+    key = np.where(line, slope, roots.real) * np.sign(tilt)
+    pick = np.argmax(np.where(g.imag * zc.imag <= 0.0, key, -np.inf), axis=1)
+    b = roots[np.arange(len(z)), pick]
+    b = np.where(z.real > 0.0, b, 1j * b.imag)
+    b = np.where(w.real < 0.0, -np.conj(b), b)
     return complex(b[0]) if scalar else b
 
 

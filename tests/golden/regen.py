@@ -5,7 +5,8 @@
 ``verification.json`` and sample dump enters byte for byte.  A
 ``report.json`` enters only through its ``checks``, ``metrics`` and
 ``skip_counts``, since its timings and provenance change from run to run.
-``phspec theory`` also enters through the JSON line it prints.
+``phspec theory`` also enters through the JSON line it prints, kept as
+the file ``theory/stdout``.
 
 The bits depend on the numpy build and the CPU (for example FMA complex
 products where numpy dispatches to AVX-512), so the manifest records the
@@ -15,8 +16,15 @@ Rewrite the manifest from the current tree with
 
     PYTHONPATH=src python tests/golden/regen.py [--keep DIR]
 
-``--keep DIR`` runs in DIR and leaves the outputs there, so that two
-trees' outputs can be diffed row by row.  Every rewrite changes what the
+``--keep DIR`` runs in DIR and leaves the outputs there.  Two such trees,
+say of the parent and of a change, are compared with
+
+    PYTHONPATH=src python tests/golden/regen.py --diff OLD NEW
+
+which prints every output whose hash differs: for a CSV the line numbers
+that moved and the largest |delta| of each numeric column, for
+``report.json`` the ``checks``, ``metrics`` and ``skip_counts`` keys that
+differ.  It prints nothing for equal trees.  Every rewrite changes what the
 test guards: name in CHANGES.md the outputs and rows that moved and why.
 """
 
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -93,11 +102,22 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _report_part(path: str) -> bytes:
+_REPORT_KEYS = ("checks", "metrics", "skip_counts")
+
+
+def _report_part(path: str) -> dict:
     with open(path) as fh:
         data = json.load(fh)
-    part = {key: data[key] for key in ("checks", "metrics", "skip_counts")}
-    return json.dumps(part, indent=2, sort_keys=True).encode()
+    return {key: data[key] for key in _REPORT_KEYS}
+
+
+def _hashed_bytes(path: str) -> bytes:
+    """What enters the manifest of an output file: a ``report.json`` through
+    its ``_REPORT_KEYS``, every other file byte for byte."""
+    if os.path.basename(path) == "report.json":
+        return json.dumps(_report_part(path), indent=2, sort_keys=True).encode()
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _run(how: str, cfg: dict, workdir: str) -> str:
@@ -124,23 +144,102 @@ def outputs(workdir: str, names=tuple(RUNS), threads: int = 1) -> dict:
         printed = _run(how, {**cfg, **_COMMON, "threads": threads, "out_dir": out_dir},
                        workdir)
         if how == "theory":
-            hashes[f"{name}/stdout"] = _sha256(printed.encode())
+            with open(os.path.join(out_dir, "stdout"), "wb") as fh:
+                fh.write(printed.encode())
         for fname in sorted(os.listdir(out_dir)):
-            path = os.path.join(out_dir, fname)
-            if fname == "report.json":
-                data = _report_part(path)
-            else:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            hashes[f"{name}/{fname}"] = _sha256(data)
+            hashes[f"{name}/{fname}"] = _sha256(_hashed_bytes(os.path.join(out_dir, fname)))
     return hashes
+
+
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _csv_diff(old: str, new: str) -> list[str]:
+    """The moved line numbers (1 is the header) and, per changed column, the
+    largest |delta|, or "text" where a changed field is not a number."""
+    rows = []
+    for path in (old, new):
+        with open(path, newline="") as fh:
+            rows.append(list(csv.reader(fh)))
+    a, b = rows
+    moved = [i + 1 for i in range(max(len(a), len(b)))
+             if i >= len(a) or i >= len(b) or a[i] != b[i]]
+    out = [f"  lines {', '.join(map(str, moved))}"]
+    if len(a) != len(b):
+        out.append(f"  {len(a)} lines against {len(b)}")
+    worst: dict = {}
+    for ra, rb in zip(a[1:], b[1:]):
+        for j, (fa, fb) in enumerate(zip(ra, rb)):
+            if fa == fb:
+                continue
+            xa, xb = _number(fa), _number(fb)
+            delta = "text" if xa is None or xb is None else abs(xa - xb)
+            if delta != delta:                     # nan on one side only
+                delta = float("inf")
+            prev = worst.get(j)
+            worst[j] = "text" if "text" in (prev, delta) else max(prev or 0.0, delta)
+    header = a[0] if a else []
+    for j in sorted(worst):
+        name = header[j] if j < len(header) else f"column {j + 1}"
+        value = worst[j] if worst[j] == "text" else repr(worst[j])
+        out.append(f"  {name}: max |delta| {value}")
+    return out
+
+
+def _report_diff(old: str, new: str) -> list[str]:
+    """The ``_REPORT_KEYS`` entries that differ, old value then new."""
+    a, b = _report_part(old), _report_part(new)
+    out = []
+    for part in _REPORT_KEYS:
+        for key in sorted(set(a[part]) | set(b[part])):
+            va, vb = a[part].get(key), b[part].get(key)
+            if va != vb:
+                out.append(f"  {part}.{key}: {json.dumps(va)} -> {json.dumps(vb)}")
+    return out
+
+
+def _tree(root: str) -> set:
+    """"<run>/<file>" of every output in a ``--keep`` tree."""
+    return {f"{run}/{fname}" for run in os.listdir(root)
+            if os.path.isdir(os.path.join(root, run))
+            for fname in os.listdir(os.path.join(root, run))}
+
+
+def diff(old: str, new: str) -> list[str]:
+    """Lines naming every output of two ``--keep`` trees whose hash differs."""
+    a, b = _tree(old), _tree(new)
+    out = []
+    for name in sorted(a | b):
+        if name not in a or name not in b:
+            out.append(f"{name}: only in {old if name in a else new}")
+            continue
+        pa, pb = os.path.join(old, name), os.path.join(new, name)
+        if _hashed_bytes(pa) == _hashed_bytes(pb):
+            continue
+        out.append(f"{name}: differs")
+        if name.endswith(".csv"):
+            out += _csv_diff(pa, pb)
+        elif name.endswith("/report.json"):
+            out += _report_diff(pa, pb)
+    return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Rewrite the golden manifest.")
     parser.add_argument("--keep", metavar="DIR",
                         help="run in DIR and leave the outputs there")
-    keep = parser.parse_args(argv).keep
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                        help="print how two --keep trees differ; write nothing")
+    args = parser.parse_args(argv)
+    if args.diff:
+        for line in diff(*args.diff):
+            print(line)
+        return 0
+    keep = args.keep
     if keep:
         os.makedirs(keep, exist_ok=True)
         hashes = outputs(keep)

@@ -10,6 +10,7 @@ from phspec import _roots
 from phspec import gapsolve as G
 from phspec import metric as M
 from phspec import theory as T
+from phspec.harness import experiments as X
 
 
 SIG_QUARTER = M.Signature(k=16, n=64)     # lam = 1/4
@@ -73,7 +74,56 @@ class _Waypoints:
 
 
 def _oracle_b(w, lam, m=1.0):
-    return _oracle_track(_table(T.continuation_paths(w, lam, m)), lam, m)
+    return _oracle_track(_table(X.continuation_paths(w, lam, m)), lam, m)
+
+
+def _branch_points(lam, m):
+    """The six zeros in w of the cubic's discriminant, 4 (1 - u)^3 + 27 (1 - 2 lam)^2 u
+    with u = m^2 w^2: the band edges and the blobs' sewing corners."""
+    u = np.roots([-4.0, 12.0, 27.0 * (1.0 - 2.0 * lam) ** 2 - 12.0, 4.0]).astype(complex)
+    return np.concatenate([np.sqrt(u), -np.sqrt(u)]) / m
+
+
+def _clearance(table, points):
+    """Least distance from each column's waypoint polyline, the rows of
+    ``table``, to any of ``points``."""
+    a, d = table[:-1, :, None], np.diff(table, axis=0)[:, :, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.nan_to_num(np.clip(((points - a) * np.conj(d)).real / np.abs(d) ** 2, 0.0, 1.0))
+    return np.min(np.abs(points - a - t * d), axis=(0, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(0.0, 1.0).filter(lambda v: v != 0.5), m=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_rule_matches_the_oracle_walk(lam, m, seed):
+    """``theory.holomorphic_b``, one root of the cubic picked by rule, is the
+    oracle's nearest-root walk along the signature grid's continuation paths
+    to 1e-10: at points of [-2.5, 2.5]^2/m, two of them on Re w = 0, points
+    within 1e-2/m of the real axis and points a relative 1e-7 outside the
+    inner and outer blob boundary, one pair at |arg w| = pi/2.
+
+    Excluded: points in the blobs or on the axis, outside the rule's
+    domain, and points whose path passes within 3e-3/m of a branch point of
+    the cubic (a band edge or a sewing corner; at lam in {0, 1} the corners
+    sit at +-i/(sqrt 2 m), where b meets the spurious root -+w), where the
+    oracle's refined steps cannot tell the roots apart (seen up to 1.1e-3/m)."""
+    rng = np.random.default_rng(seed)
+    box = rng.uniform(-2.5, 2.5, (3, 8)) / m
+    box[0, :2] = 0.0                         # on the line Re w = 0
+    w = np.concatenate([box[0] + 1j * box[1], box[2] + 1j * rng.uniform(-1e-2, 1e-2, 8) / m])
+    if 0.0 < lam < 1.0:
+        th0 = np.arcsin(T.sin_theta0(lam))
+        angles = np.append(rng.uniform(th0, np.pi - th0, 3), np.pi / 2.0)
+        for th in angles * rng.choice([-1.0, 1.0], 4):
+            rm, rp = T.boundary_radii(th, lam, m)
+            w = np.append(w, np.array([(1.0 - 1e-7) * rm, (1.0 + 1e-7) * rp]) * np.exp(1j * th))
+    w = w[(w.imag != 0.0) & ~T.in_blobs(w, lam, m)]
+    table = _table(X.continuation_paths(w, lam, m))
+    keep = _clearance(table, _branch_points(lam, m)) >= 3e-3 / m
+    assert keep.any()
+    ref = _oracle_track(table[:, keep], lam, m)
+    assert np.max(np.abs(T.holomorphic_b(w[keep], lam, m) - ref)) <= 1e-10
 
 
 def _signed_atoms(count):
@@ -116,7 +166,7 @@ class TestHolomorphic:
         # is continuous with the boundary values
         lam = 0.25
         pts = np.array([0.1j, 0.05 + 0.2j, -0.04 + 0.22j])
-        paths = T.continuation_paths(pts, lam, 1.0)
+        paths = X.continuation_paths(pts, lam, 1.0)
         b, g, res, coll = G.solve_holomorphic_batch(SIG_QUARTER, pts, 1.0, paths=paths)
         assert not coll.any()
         assert np.max(np.abs(b - _oracle_b(pts, lam))) <= 1e-10
@@ -131,7 +181,7 @@ class TestHolomorphic:
     def test_paths_end_exactly_at_tiny_targets(self):
         pts = np.array([1e-12j, 1e-10j])
         assert np.array_equal(_table(G._default_paths(pts, SIG_QUARTER, 1.0))[-1], pts)
-        assert np.array_equal(_table(T.continuation_paths(pts, 0.25, 1.0))[-1], pts)
+        assert np.array_equal(_table(X.continuation_paths(pts, 0.25, 1.0))[-1], pts)
         _, _, res, coll = G.solve_holomorphic_batch(SIG_QUARTER, pts, 1.0)
         assert not coll.any()
         assert np.max(res) <= 1e-9
@@ -409,7 +459,7 @@ def test_a_point_whose_walk_collides_is_unresolved_alone(monkeypatch):
     its solution bit for bit."""
     xs = np.linspace(-1.2, 1.2, 5)
     W = (xs[:, None] + 1j * xs[None, :]).ravel()
-    paths_fn = lambda ws: T.continuation_paths(ws, 0.25, 1.0)
+    paths_fn = lambda ws: X.continuation_paths(ws, 0.25, 1.0)
     ref = G.classify_grid(SIG_QUARTER, W, 1.0, paths_fn=paths_fn)
     k = 19                                   # 0.6 + 1.2i, holomorphic
     assert ref.phase[k] == G.HOLOMORPHIC
@@ -611,8 +661,8 @@ def _tracker_calls(monkeypatch, metric, points, paths_fn=None, extent=1.2):
     (M.ExplicitDiagonal([_signed_atoms(12)[i % 12] for i in range(48)]), 20, None, 1.2, 1),
     (M.ExplicitDiagonal(list(_signed_atoms(33))), 31, None, 1.2, 1),
     (M.ExplicitDiagonal(list(_signed_atoms(128))), 20, None, 1.2, 1),
-    (M.Signature(k=64, n=256), 41, lambda w: T.continuation_paths(w, 0.25, 1.0), 1.2, 1),
-    (M.Signature(k=64, n=256), 41, lambda w: T.continuation_paths(w, 0.25, 1.0), 2.5, 2),
+    (M.Signature(k=64, n=256), 41, lambda w: X.continuation_paths(w, 0.25, 1.0), 1.2, 1),
+    (M.Signature(k=64, n=256), 41, lambda w: X.continuation_paths(w, 0.25, 1.0), 2.5, 2),
 ], ids=["atoms12", "signed33", "atoms128", "signature", "signature_wide"])
 def test_tracker_keeps_the_branches_of_the_nearest_pole_bound(monkeypatch, metric, points,
                                                               paths_fn, extent, walks):
@@ -644,7 +694,7 @@ def _cone_arc_table(w, lam, m):
     path record replaced."""
     theta = np.angle(w)
     s0 = T.sin_theta0(lam)
-    start_r = T.START_RADIUS_FACTOR / m
+    start_r = X.START_RADIUS_FACTOR / m
     r = np.maximum(np.abs(w), 1e-12 * start_r)
     needs_arc = np.zeros(w.shape, dtype=bool)
     if s0 < 1.0:
@@ -653,10 +703,11 @@ def _cone_arc_table(w, lam, m):
         with np.errstate(invalid="ignore", divide="ignore"):
             disc = np.sqrt(np.maximum(1.0 - (s0 * s0) / np.where(covered, st2, 1.0), 0.0))
         needs_arc = covered & (r < np.sqrt((1.0 - disc) / 2.0) / m)
-    theta_c = np.where(np.abs(theta) <= np.pi / 2.0, np.sign(theta) * T.s0_half_angle(lam),
-                       np.sign(theta) * (np.pi - T.s0_half_angle(lam)))
+    half = 0.5 * np.arcsin(s0) if s0 < 1.0 else 0.25 * np.pi
+    theta_c = np.where(np.abs(theta) <= np.pi / 2.0, np.sign(theta) * half,
+                       np.sign(theta) * (np.pi - half))
     theta_start = np.where(needs_arc, theta_c, theta)
-    t = np.linspace(0.0, 1.0, T.PATH_STEPS + 1)[:, None]
+    t = np.linspace(0.0, 1.0, X.PATH_STEPS + 1)[:, None]
     ray = (r[None, :] * (start_r / r)[None, :] ** (1.0 - t)) * np.exp(1j * theta_start)[None, :]
     arc = r[None, :] * np.exp(1j * (theta_start[None, :] + t * (theta - theta_start)[None, :]))
     return np.concatenate([ray, arc, w[None, :]], axis=0)
@@ -698,7 +749,7 @@ def test_path_records_match_the_waypoint_arrays_bit_for_bit(monkeypatch, lam):
     xs = np.linspace(-1.2, 1.2, 21)
     w = np.concatenate([(xs[:, None] + 1j * xs[None, :]).ravel(),
                         [0.0, 1e-12j, -1e-300j, 1.9, -1.95, -1.9 - 1e-300j, 1.85 - 0j]])
-    paths_fn = lambda ws: T.continuation_paths(ws, lam, m)
+    paths_fn = lambda ws: X.continuation_paths(ws, lam, m)
     calls, track = [], _roots.track
 
     def recorded(mu, c, m_, paths, b0):
@@ -767,6 +818,34 @@ def test_grid_entries_are_single_points_bit_for_bit(name):
                     == np.asarray(getattr(one, field)).tobytes()), (i, field)
 
 
+def _wrong_sign(sol, w):
+    """Side limits whose Im G breaks Im G(x + i0) <= 0 <= Im G(x - i0)."""
+    return (sol.note != "") & (np.where(w.imag < 0.0, -sol.green.imag, sol.green.imag) > 0.0)
+
+
+def test_a_side_limit_of_the_wrong_sign_is_unresolved():
+    """On this metric (|tr B|/N = 0.0063) the launch ray crosses a blob, and
+    108 of the 137 upper side limits of the 301 points walked to Im G > 0,
+    a negative density.  Now no resolved side limit has the wrong sign, in
+    either half-plane, and those points are UNRESOLVED."""
+    x = np.linspace(-1.5, 1.5, 301)
+    w = np.concatenate([x + 0j, x - 1e-300j])
+    sol = G.classify_grid(_atomic_metric(29, 528855024), w, 1.0)
+    assert not _wrong_sign(sol, w).any()
+    assert np.count_nonzero(sol.phase[:301] == G.UNRESOLVED) >= 108
+    assert (sol.note != "").any()
+
+
+@settings(max_examples=10, deadline=None)
+@given(metric=st.builds(_atomic_metric, st.integers(4, 33), st.integers(0, 2**32 - 1)))
+def test_no_resolved_side_limit_has_the_wrong_sign(metric):
+    """Im G(x + i0) = -pi rho_real(x) <= 0 for every metric, and its mirror
+    below the axis: no side limit of random signed atomic metrics breaks it."""
+    x = np.linspace(-1.9, 1.9, 61) * M.support_radius(metric)
+    w = np.concatenate([x + 0j, x - 1e-300j])
+    assert not _wrong_sign(G.classify_grid(metric, w, 1.0), w).any()
+
+
 @pytest.mark.parametrize("k", [64, 96, 115, 123])
 def test_real_axis_green_matches_the_closed_form_density(k):
     """Im G(x + i0) = -pi rho_real(x) for Signature(k, 256) at 121 points of
@@ -810,7 +889,7 @@ def test_default_signature_grid_takes_at_most_100_lockstep_iterations(monkeypatc
     monkeypatch.setattr(_roots, "track", recorded)
     xs = np.linspace(-1.2, 1.2, 101)
     G.classify_grid(M.Signature(k=64, n=256), (xs[:, None] + 1j * xs[None, :]).ravel(), 1.0,
-                    paths_fn=lambda w: T.continuation_paths(w, 0.25, 1.0))
+                    paths_fn=lambda w: X.continuation_paths(w, 0.25, 1.0))
     assert counted and sum(rec.calls - 2 for rec in counted) <= 100
 
 
@@ -858,8 +937,9 @@ def _cut_edges(metric, x, m, halvings):
        near=st.lists(st.floats(-9.0, -3.0), min_size=1, max_size=3))
 def test_one_walk_matches_the_two_walk_rule_where_that_rule_agrees(metric, near):
     """At real-axis points inside, outside and near the band edges of random
-    signed atomic metrics, wherever the two-walk rule's rays agree, the one
-    walk gives the same phase and note and the same b and G to 1e-12.
+    signed atomic metrics, wherever the two-walk rule's rays agree on a side
+    limit of the physical sign, the one walk gives the same phase and note
+    and the same b and G to 1e-12.
 
     The points stay inside 2 rho/m, where every ray of the two-walk rule
     starts at 200 rho/m whatever the batch, and off x = 0, where every
@@ -882,12 +962,30 @@ def test_one_walk_matches_the_two_walk_rule_where_that_rule_agrees(metric, near)
     hol = sol.phase != G.NONHOLOMORPHIC
     b, g, phase, noted, agree = _two_walk_rule(metric, x[hol], m)
     one = sol.take(np.flatnonzero(hol))
+    # Im G(x + i0) <= 0 <= Im G(x - i0): a two-walk side limit of the other
+    # sign ended on another sheet, and is no oracle
+    agree &= ~(noted & (np.where(x[hol].imag < 0.0, -g.imag, g.imag) > 0.0))
     assert agree.any()
     assert (one.phase[agree] == phase[agree]).all()
     assert ((one.note != "")[agree] == noted[agree]).all()
     ok = agree & (phase == G.HOLOMORPHIC)
     assert np.max(np.abs(one.b - b)[ok], initial=0.0) <= 1e-12
     assert np.max(np.abs(one.green - g)[ok], initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("poles", [2, 12, 128])
+def test_gamma_bound_of_a_row_does_not_depend_on_its_batch(poles):
+    """A row's gamma bound has the same bits alone as inside a 1000-row batch,
+    so a step's alpha test does not depend on the points sharing its step."""
+    rng = np.random.default_rng(poles)
+    mu = rng.uniform(0.3, 2.0, poles) * rng.choice([-1.0, 1.0], poles)
+    c = rng.uniform(0.1, 1.0, poles)
+    w, b = rng.normal(size=(2, 1000)) + 1j * rng.normal(size=(2, 1000))
+    q = 1.0 / (b[:, None] + w[:, None] / mu)
+    fb = 1.0 - (q * q) @ c
+    batch = _roots.gamma_bound(q, fb, c).view(np.int64)
+    alone = [_roots.gamma_bound(q[i:i + 1], fb[i:i + 1], c).view(np.int64)[0] for i in range(1000)]
+    assert batch.tolist() == alone
 
 
 class TestTracker:
@@ -962,27 +1060,52 @@ def test_identity_checks_round_as_scalar_python():
     assert G.unified_check(cols, SIG_QUARTER, m).tolist() == unified
 
 
+def rho2_numeric(metric, xs, ys, m=1.0):
+    """Pair density by Gauss's law: rho = (1/pi) Re[(dG/dx + i dG/dy)/2].
+
+    Every grid point (and thus a one-cell margin around the returned
+    interior) must solve in the non-holomorphic phase; a point that
+    does not means the grid touches the phase boundary and is refused.
+    """
+    xs = np.asarray(xs, float)
+    ys = np.asarray(ys, float)
+    w = (xs[:, None] + 1j * ys[None, :]).ravel()
+    s, beta, res, success = G.solve_nonholomorphic_batch(metric, w, m)
+    if not np.all(success):
+        bad = w[np.argmin(success)]
+        raise ValueError(
+            f"grid point ({bad.real}, {bad.imag}) is not interior to the non-holomorphic region"
+        )
+    g = G._nonholomorphic_green(metric, w, s, beta).reshape(len(xs), len(ys))
+    hx = xs[1] - xs[0]
+    hy = ys[1] - ys[0]
+    gx = (g[2:, 1:-1] - g[:-2, 1:-1]) / (2.0 * hx)
+    gy = (g[1:-1, 2:] - g[1:-1, :-2]) / (2.0 * hy)
+    rho = ((gx + 1j * gy) / 2.0 / np.pi).real
+    return xs[1:-1], ys[1:-1], rho
+
+
 class TestDensityAndIdentities:
     def test_rho2_uniform(self):
         # centered stencil around an interior point reproduces m^2/pi
         h = 1e-3
         xs = 0.05 + np.arange(-2, 3) * h
         ys = 0.50 + np.arange(-2, 3) * h
-        _, _, rho = G.rho2_numeric(SIG_QUARTER, xs, ys, 1.0)
+        _, _, rho = rho2_numeric(SIG_QUARTER, xs, ys, 1.0)
         assert np.max(np.abs(rho - 1.0 / np.pi)) <= 1e-4
 
     def test_rho2_disk(self):
         h = 1e-3
         xs = np.arange(-2, 3) * h
         ys = 0.3 + np.arange(-2, 3) * h
-        _, _, rho = G.rho2_numeric(SIG_HALF, xs, ys, 1.0)
+        _, _, rho = rho2_numeric(SIG_HALF, xs, ys, 1.0)
         assert np.max(np.abs(rho - 1.0 / np.pi)) <= 1e-4
 
     def test_rho2_refuses_boundary_grid(self):
         xs = np.linspace(0.0, 1.2, 5)      # sticks out of the blob
         ys = np.linspace(0.3, 0.9, 5)
-        with pytest.raises(G.GapSolveError):
-            G.rho2_numeric(SIG_QUARTER, xs, ys, 1.0)
+        with pytest.raises(ValueError):
+            rho2_numeric(SIG_QUARTER, xs, ys, 1.0)
 
     def test_unified_residuals(self):
         m = 1.0
@@ -1008,7 +1131,7 @@ class TestDensityAndIdentities:
                 nh = G.classify_phase(SIG_QUARTER, r_nh * e, m)
                 assert nh.phase == G.NONHOLOMORPHIC
                 w_hol = np.array([r_hol * e])
-                paths = T.continuation_paths(w_hol, lam, m)
+                paths = X.continuation_paths(w_hol, lam, m)
                 _, g, _, coll = G.solve_holomorphic_batch(SIG_QUARTER, w_hol, m, paths=paths)
                 assert not coll[0]
                 assert abs(nh.green - g[0]) <= 1e-5
@@ -1025,7 +1148,7 @@ class TestDensityAndIdentities:
         ys = np.linspace(-1.1, 1.1, 21)
         W = (xs[:, None] + 1j * ys[None, :]).ravel()
         sol = G.classify_grid(SIG_QUARTER, W, 1.0,
-                              paths_fn=lambda ws: T.continuation_paths(ws, lam, 1.0))
+                              paths_fn=lambda ws: X.continuation_paths(ws, lam, 1.0))
         for w, phase, alpha2 in zip(W, sol.phase, sol.alpha2):
             inside = bool(T.in_blobs(w, lam, 1.0)) if w.imag != 0 else False
             assert (phase == G.NONHOLOMORPHIC) == inside

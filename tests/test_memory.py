@@ -9,7 +9,6 @@ import numpy as np
 
 from phspec import gapsolve as G
 from phspec import metric as M
-from phspec import theory as T
 from phspec.harness import config as C
 from phspec.harness import experiments as X
 
@@ -38,7 +37,7 @@ def test_continuation_paths_peak():
     # as many points as the default grid's holomorphic ones; 37.5 MiB as an array
     n = 7465
     w = np.linspace(0.01, 1.7, n) * np.exp(1j * np.linspace(-3.1, 3.1, n))
-    assert _traced_peak(lambda: T.continuation_paths(w, 0.25, 1.0)) <= 2 * MIB
+    assert _traced_peak(lambda: X.continuation_paths(w, 0.25, 1.0)) <= 2 * MIB
 
 
 def test_nonholomorphic_solve_peak():

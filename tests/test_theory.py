@@ -1,3 +1,7 @@
+import ast
+import itertools
+import pathlib
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -245,15 +249,48 @@ class TestGreens:
         assert rho == pytest.approx(m * m / np.pi, rel=1e-9)
 
     def test_boundary_continuity_both_arcs(self):
-        lam, m, d = 0.25, 1.0, 1e-6
-        for th in (np.pi / 2, np.pi / 3, 2 * np.pi / 3):
+        d = 1e-6
+        for lam, m, th in itertools.product((0.25, 0.49, 0.499), (1.0, 0.7),
+                                            (np.pi / 2, np.pi / 3, 2 * np.pi / 3)):
             rm, rp = T.boundary_radii(th, lam, m)
             e = np.exp(1j * th)
             inner = abs(_green_nonholomorphic((rm + d) * e, m)
                         - T.green_holomorphic((rm - d) * e, lam, m))
             outer = abs(_green_nonholomorphic((rp - d) * e, m)
                         - T.green_holomorphic((rp + d) * e, lam, m))
-            assert inner <= 1e-5 and outer <= 1e-5
+            assert inner <= 1e-5 and outer <= 1e-5, (lam, m, th)
+
+    def test_just_below_the_inner_arc_near_the_axis(self):
+        # a relative 1e-7 under the inner arc at theta = -3.0954, lam = 0.49:
+        # a continuation along the cone ray and arc ended on another sheet
+        # there, G = -4.498 + 0.208i
+        lam, m, th = 0.49, 1.0, -3.0954
+        w = (1.0 - 1e-7) * T.boundary_radii(th, lam, m)[0] * np.exp(1j * th)
+        assert abs(T.green_holomorphic(w, lam, m) - _green_nonholomorphic(w, m)) <= 1e-6
+
+    def test_mirror_symmetry_and_the_imaginary_axis(self):
+        # b(-conj w) = -conj b(w), so b is imaginary on Re w = 0, and there it
+        # is the limit from either side
+        rng = np.random.default_rng(11)
+        for lam in (0.0, 0.1, 0.25, 0.49, 0.75, 1.0):
+            for m in (0.7, 1.0):
+                w = (rng.uniform(-2.0, 2.0, 300) + 1j * rng.uniform(-2.0, 2.0, 300)) / m
+                w[:100] = 1j * w[:100].imag
+                w = w[~T.in_blobs(w, lam, m)]
+                b = T.holomorphic_b(w, lam, m)
+                assert np.array_equal(T.holomorphic_b(-np.conj(w), lam, m), -np.conj(b))
+                line = w.real == 0.0
+                assert line.sum() >= 20 and np.all(b[line].real == 0.0)
+                side = T.holomorphic_b(w[line] + 1e-9 / m, lam, m)
+                assert np.max(np.abs(side - b[line])) <= 1e-6
+                if lam in (0.0, 1.0):
+                    g = T.green_holomorphic(w[line], lam, m)
+                    assert np.max(np.abs(g - T.gue_green(w[line], m))) <= 1e-12
+
+    def test_real_axis_rejected(self):
+        for w in (0.3 + 0j, 2.5 + 1e-20j, -1.0 - 0j):
+            with pytest.raises(ValueError):
+                T.holomorphic_b(w, 0.25, 1.0)
 
     def test_inside_blob_rejected(self):
         with pytest.raises(ValueError):
@@ -317,3 +354,15 @@ class TestCdf:
     def test_half_rejected(self):
         with pytest.raises(ValueError):
             T.real_band_cdf(0.5, 1.0)
+
+
+def test_closed_forms_share_no_code_with_the_solver():
+    tree = ast.parse(pathlib.Path(T.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {alias.name for alias in node.names}
+    assert not {name.rsplit(".", 1)[-1] for name in names} & {"_roots", "gapsolve"}
+    assert not hasattr(T, "s0_half_angle")
