@@ -171,38 +171,27 @@ def _side_limit_paths(limit: np.ndarray, metric: Metric, m: float) -> _roots.Pat
     return _roots.Paths(limit, r, start, launch, theta, ray=PATH_STEPS + 1, arc=SIDE_ARC_ROWS)
 
 
-def _bh_residual(mu, c, w, b, m: float):
-    """Residual m^2 b + sum_j c_j/(b + w/mu_j) of the holomorphic gap equation."""
-    return m * m * b + (c / (b[:, None] + w[:, None] / mu)).sum(axis=1)
-
-
 def _holomorphic_green(mu, c, w, b):
     """G = sum_j c_j/(b mu_j + w) = (1/N) tr 1/(b B + w) for the selected branch."""
     return (c / (b[:, None] * mu + w[:, None])).sum(axis=1)
 
 
 def solve_holomorphic_batch(metric: Metric, w: np.ndarray, m: float = 1.0,
-                            paths: _roots.Paths | None = None):
+                            paths: _roots.Paths | None = None, b0: np.ndarray | None = None):
     """Branch-tracked holomorphic solutions over a batch of points.
 
     ``paths`` overrides the default straight-ray continuation with other
     paths ending at w (a ``_roots.Paths`` record, one entry per point);
     callers that know the geometry of the non-holomorphic region use this
     to route around it, since continuation through it can end on a wrong
-    sheet.
+    sheet.  ``b0`` gives the roots at row 0 of the paths (default: the
+    large-|w| asymptote there).
 
     Returns (b, green, residual, collided) arrays; ``collided`` flags
     points whose track could not tell two branches apart (branch-point
     proximity -- those values are not trustworthy).
     """
     w = np.asarray(w, dtype=complex).ravel()
-    return _holomorphic_walk(metric, w, m, paths)
-
-
-def _holomorphic_walk(metric: Metric, w: np.ndarray, m: float, paths: _roots.Paths | None,
-                      b0: np.ndarray | None = None):
-    """``solve_holomorphic_batch`` from the roots ``b0`` at row 0 of
-    ``paths`` (default: the large-|w| asymptote there)."""
     mu, c = _terms(metric)
     tr = metric_mod.trace_over_n(metric)
     if abs(tr) <= TRACELESS_TOL:
@@ -213,7 +202,8 @@ def _holomorphic_walk(metric: Metric, w: np.ndarray, m: float, paths: _roots.Pat
     if b0 is None:
         b0 = -tr / (m * m * paths.row(0))
     b, collided = _roots.track(mu, c, m, paths, b0)
-    res = np.abs(_bh_residual(mu, c, w, b, m))
+    # the gap equation's residual m^2 b + sum_j c_j/(b + w/mu_j)
+    res = np.abs(m * m * b + (c / (b[:, None] + w[:, None] / mu)).sum(axis=1))
     return b, _holomorphic_green(mu, c, w, b), res, collided
 
 
@@ -397,7 +387,7 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> GapSoluti
     can err only that close to a band edge.  A point on the cut returns its
     side limit, marked in ``note``.  A point off the cut takes one certified
     step, a short ray and arc from its side limit, in a second
-    ``_roots.track`` call, and returns its value on the axis; where that
+    ``solve_holomorphic_batch`` call, and returns its value on the axis; where that
     step collides, near a band edge, it keeps the side limit and its note.
     Im G(x + i0) = -pi rho_real(x) <= 0 for every metric, so a side limit
     whose Im G has the other sign ended on another sheet and is UNRESOLVED.
@@ -428,7 +418,7 @@ def classify_grid(metric: Metric, w, m: float = 1.0, paths_fn=None) -> GapSoluti
         x = wr[k]
         r = np.maximum(np.abs(x), 1e-12 * eps)   # keep w = 0 off the division
         step = _roots.Paths(x, r, np.abs(wh[k]), np.angle(wh[k]), np.angle(x), ray=2, arc=2)
-        b_x, green_x, res_x, collided_x = _holomorphic_walk(metric, x, m, step, b[k])
+        b_x, green_x, res_x, collided_x = solve_holomorphic_batch(metric, x, m, step, b[k])
         ok = ~collided_x
         b[k[ok]], green[k[ok]], hres[k[ok]], wh[k[ok]] = b_x[ok], green_x[ok], res_x[ok], x[ok]
     # Im G(x + i0) = -pi rho_real(x) <= 0 for every metric: a side limit of

@@ -391,48 +391,40 @@ def run_gap_grid(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> None:
 _N_SMALL = 8
 _METRIC_SMALL = Signature(k=2, n=_N_SMALL)
 _Z_POINTS = (0.3 + 0.4j, -0.7 + 0.2j, 1.1 - 0.6j, 0.05 + 1.0j, -0.4 - 0.9j)
-_IDENTITIES = ("gamma", "block", "trace_pair", "half_trace", "sym_neg", "sym_conj",
-               "square", "diag_imag", "equal_sums", "inter_44_11", "inter_33_22",
-               "adjoint")
+# identity in the report -> the hermcheck residual it reads
+_IDENTITIES = dict(gamma="gamma", block="block_residual", trace_pair="trace_pairing_residual",
+                   half_trace="half_trace_residual", sym_neg="negation", sym_conj="conjugation",
+                   square="square_vs_phi", diag_imag="diag_real_part", equal_sums="equal_sums",
+                   inter_44_11="interrelation_44_11", inter_33_22="interrelation_33_22",
+                   adjoint="adjoint_14_41")
 
 
-def _identity_draw(seed: int, m: float, i: int) -> tuple[dict, int]:
-    """Worst residual of each exact identity on draw i at n = 8, and the
-    number of near-singular shifts skipped."""
-    worst = dict.fromkeys(_IDENTITIES, 0.0)
-    skipped = 0
-    a = ens.sample_gue(_N_SMALL, m, ens.mix_seed(seed, i))
+def _identity_stage(seed: int, m: float, count: int) -> tuple[dict, int]:
+    """Worst residual of each exact identity over draws 0..count-1 at n = 8,
+    and the number of near-singular shifts skipped.  Each check takes the
+    draws as one stack: the block resolvent once per shift z, the block
+    traces once per s, with draw i at ``_Z_POINTS[i % 5]``."""
+    a = np.stack([ens.sample_gue(_N_SMALL, m, ens.mix_seed(seed, i)) for i in range(count)])
+    shifts = [hermcheck.check_block_resolvent(a, _METRIC_SMALL, z) for z in _Z_POINTS]
+    z_rows = np.array(_Z_POINTS)[np.arange(count) % len(_Z_POINTS)]
     h = hermcheck.build_doubled(a, _METRIC_SMALL)
-    worst["gamma"] = max(worst["gamma"], hermcheck.gamma_anticommutator_norm(h))
-    sym = hermcheck.check_spectrum_symmetry(a, _METRIC_SMALL)
-    worst["sym_neg"] = max(worst["sym_neg"], sym["negation"])
-    worst["sym_conj"] = max(worst["sym_conj"], sym["conjugation"])
-    worst["square"] = max(worst["square"], sym["square_vs_phi"])
-    for z in _Z_POINTS:
-        res = hermcheck.check_block_resolvent(a, _METRIC_SMALL, z)
-        if res.get("skipped"):
-            skipped += 1
-            continue
-        worst["block"] = max(worst["block"], res["block_residual"])
-        worst["trace_pair"] = max(worst["trace_pair"], res["trace_pairing_residual"])
-        worst["half_trace"] = max(worst["half_trace"], res["half_trace_residual"])
-    for s in (0.05, 0.1, 0.5):
-        ids = hermcheck.block_trace_identities(a, _METRIC_SMALL, s, _Z_POINTS[i % 5])
-        worst["diag_imag"] = max(worst["diag_imag"], ids["diag_real_part"])
-        worst["equal_sums"] = max(worst["equal_sums"], ids["equal_sums"])
-        worst["inter_44_11"] = max(worst["inter_44_11"], ids["interrelation_44_11"])
-        worst["inter_33_22"] = max(worst["inter_33_22"], ids["interrelation_33_22"])
-        worst["adjoint"] = max(worst["adjoint"], ids["adjoint_14_41"])
-    return worst, skipped
+    found = [{"gamma": hermcheck.gamma_anticommutator_norm(h)},
+             hermcheck.check_spectrum_symmetry(a, _METRIC_SMALL)]
+    found += [{key: value[~res["skipped"]] for key, value in res.items()} for res in shifts]
+    found += [hermcheck.block_trace_identities(a, _METRIC_SMALL, s, z_rows)
+              for s in (0.05, 0.1, 0.5)]
+    worst = {name: _worst(np.concatenate([res[key] for res in found if key in res]))
+             for name, key in _IDENTITIES.items()}
+    return worst, sum(int(np.count_nonzero(res["skipped"])) for res in shifts)
 
 
 @experiment("verify")
 def run_verify(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> None:
     """Exact finite-N identities at small N plus the averaged gap equations.
 
-    Each of the three stages maps its draws over the run's ``cfg.threads``
-    worker processes and reduces them in draw order, so every residual is
-    bit-identical for any ``threads``.
+    The identities run in this process (``_identity_stage``); the averaged
+    stages map their draws over the run's ``cfg.threads`` workers and reduce
+    them in draw order, so every residual is bit-identical for any ``threads``.
     """
     tolerances = {}
 
@@ -442,13 +434,7 @@ def run_verify(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> None:
 
     num_draws, num_avg = min(cfg.samples, 100), min(cfg.samples, 500)
     rep.provenance = provenance(_blas.num_workers(cfg.threads, num_avg))
-    worst = dict.fromkeys(_IDENTITIES, 0.0)
-    skipped = 0
-    for draw, draw_skipped in _blas.map_samples(
-            functools.partial(_identity_draw, cfg.seed, cfg.m), num_draws, cfg.threads):
-        for name in _IDENTITIES:
-            worst[name] = max(worst[name], draw[name])
-        skipped += draw_skipped
+    worst, skipped = _identity_stage(cfg.seed, cfg.m, num_draws)
     if skipped:
         rep.skip_counts["near_singular_shift"] = skipped
     for name, value in worst.items():
@@ -456,12 +442,10 @@ def run_verify(cfg: RunConfig, rep: ComparisonReport, sw: Stopwatch) -> None:
     sw.lap("identities")
 
     # averaged self-consistency at a point inside the pair-support region
-    n_avg = 64
-    metric_avg = Signature(k=n_avg // 4, n=n_avg)
-    cfg_avg = ens.EnsembleConfig(n=n_avg, m=cfg.m, metric=metric_avg,
+    cfg_avg = ens.EnsembleConfig(n=64, m=cfg.m, metric=Signature(k=16, n=64),
                                  master_seed=cfg.seed, num_samples=num_avg)
-    w = (0.05 + 0.55j) / cfg.m**2
-    gap = hermcheck.averaged_gap_residual(cfg_avg, 0.1, np.sqrt(w), threads=cfg.threads)
+    gap = hermcheck.averaged_gap_residual(cfg_avg, 0.1, np.sqrt((0.05 + 0.55j) / cfg.m**2),
+                                          threads=cfg.threads)
     rel_tol = THRESHOLDS["averaged_gap_rel"]
     check("avg_a_equals_c", gap.rel_ac, rel_tol)
     check("avg_eq_a", gap.eq_a_residual, rel_tol)

@@ -25,7 +25,12 @@ is kept strictly nonzero (s in [0.05, 0.5] in the tests); the s -> 0
 statements involve distributions with no finite-N numerical meaning and
 are probed via the trend in s instead.
 
-The averaged checks map their draws over worker processes through
+The per-sample checks take A as a stack (..., N, N), one matrix being a
+stack of shape (), and give each matrix the bits it gets alone: scalar
+moduli and products round as Python's, norms and matchings run matrix by
+matrix.  ``verify`` runs its identity draws through them as one stack.
+
+Only the averaged checks use workers: they map their draws through
 ``_blas.map_samples`` (``threads``, all cores by default), one BLAS
 thread each, and sum the per-draw traces in sample-index order, so
 their residuals are bit-identical for any ``threads``.  Inside a
@@ -49,21 +54,38 @@ from . import spectral
 from .metric import Metric
 
 
+def _abs(x):
+    """|x| by hypot, as the scalar abs rounds (numpy's vectorised abs may not)."""
+    return np.hypot(x.real, x.imag)
+
+
+def _diag(v: np.ndarray) -> np.ndarray:
+    """The stack of diagonal matrices with diagonals ``v`` (..., N)."""
+    out = np.zeros(v.shape + v.shape[-1:], dtype=v.dtype)
+    np.einsum("...ii->...i", out)[...] = v
+    return out
+
+
+def _per_matrix(fn, *stacks: np.ndarray, ndim: int = 2) -> np.ndarray:
+    """``fn`` of each ``ndim``-dimensional item of the stacks, over the stack shape."""
+    items = (x.reshape((-1,) + x.shape[-ndim:]) for x in stacks)
+    return np.array([fn(*args) for args in zip(*items)]).reshape(stacks[0].shape[:-ndim])
+
+
 def build_doubled(a: np.ndarray, metric: Metric) -> np.ndarray:
     """The 2N x 2N doubled matrix H = [[0, A], [B, 0]] (exact block placement)."""
-    n = a.shape[0]
-    b = metric_mod.realize(metric, n)
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    h[:n, n:] = a
-    h[n:, :n] = np.diag(b).astype(complex)
+    n = a.shape[-1]
+    h = np.zeros(a.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    h[..., :n, n:] = a
+    h[..., n:, :n] = np.diag(metric_mod.realize(metric, n))
     return h
 
 
-def gamma_anticommutator_norm(h: np.ndarray) -> float:
+def gamma_anticommutator_norm(h: np.ndarray) -> np.ndarray:
     """|Gamma H + H Gamma|_F with the chirality Gamma = diag(1_N, -1_N)."""
-    n = h.shape[0] // 2
+    n = h.shape[-1] // 2
     g = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
-    return float(np.linalg.norm(g @ h + h @ g))
+    return _per_matrix(np.linalg.norm, g @ h + h @ g)
 
 
 def check_block_resolvent(a: np.ndarray, metric: Metric, z: complex) -> dict:
@@ -72,57 +94,55 @@ def check_block_resolvent(a: np.ndarray, metric: Metric, z: complex) -> dict:
     Also checks the trace pairing sum_i [1/(z-sqrt(w_i)) + 1/(z+sqrt(w_i))]
     over eigenvalues w_i of phi, and the half-trace relation
     (1/2N) tr (z-H)^{-1} = z * (1/N) tr (z^2-phi)^{-1}.
-    Near-singular shifts (z^2 close to an eigenvalue of phi) are skipped.
+    Near-singular shifts (z^2 close to an eigenvalue of phi) are
+    ``skipped``: their residuals are nan and nothing is inverted.
     """
-    n = a.shape[0]
-    sample = ens.make_ph(a, metric)
-    phi, b = sample.phi, sample.b_diag
-    shift = z * np.eye(2 * n) - build_doubled(a, metric)
-    core = z * z * np.eye(n) - phi
+    n = a.shape[-1]
+    b = metric_mod.realize(metric, n)
+    core = z * z * np.eye(n) - a * b
     cond = np.linalg.cond(core)
-    if cond > 1e12:
-        return {"skipped": True, "cond": float(cond)}
-    direct = np.linalg.inv(shift)
+    skipped = cond > 1e12
+    kept = ~skipped
+    a, core = a[kept], core[kept]
+    direct = np.linalg.inv(z * np.eye(2 * n) - build_doubled(a, metric))
     core_inv = np.linalg.inv(core)
     core_inv_t = np.linalg.inv(z * z * np.eye(n) - b[:, None] * a)  # (z^2 - B A)^{-1}
-    assembled = np.block([
-        [z * core_inv, a @ core_inv_t],
-        [b[:, None] * core_inv, z * core_inv_t],
-    ])
-    block_res = np.linalg.norm(direct - assembled) / np.linalg.norm(direct)
+    assembled = np.block([[z * core_inv, a @ core_inv_t],
+                          [b[:, None] * core_inv, z * core_inv_t]])
+    block_res = (_per_matrix(np.linalg.norm, direct - assembled)
+                 / _per_matrix(np.linalg.norm, direct))
 
-    w = np.linalg.eigvals(phi)
-    sq = np.sqrt(w.astype(complex))
-    trace_pair = np.sum(1.0 / (z - sq) + 1.0 / (z + sq))
-    trace_res = abs(np.trace(direct) - trace_pair) / abs(np.trace(direct))
+    sq = np.sqrt(np.linalg.eigvals(a * b))
+    trace_pair = np.sum(1.0 / (z - sq) + 1.0 / (z + sq), axis=-1)
+    trace = np.trace(direct, axis1=-2, axis2=-1)
+    trace_res = _abs(trace - trace_pair) / _abs(trace)
 
-    half_trace = np.trace(direct) / (2 * n)
-    g_phi = np.trace(core_inv) / n
-    gtilde_res = abs(half_trace - z * g_phi) / max(abs(half_trace), 1e-300)
-    return {
-        "skipped": False,
-        "cond": float(cond),
-        "block_residual": float(block_res),
-        "trace_pairing_residual": float(trace_res),
-        "half_trace_residual": float(gtilde_res),
-    }
+    half_trace = trace / (2 * n)
+    g_phi = np.trace(core_inv, axis1=-2, axis2=-1) / n
+    gtilde_res = _abs(half_trace - gapsolve._cmul(z, g_phi)) / np.maximum(_abs(half_trace), 1e-300)
+    out = {"skipped": skipped, "cond": cond}
+    for key, res in zip(("block_residual", "trace_pairing_residual", "half_trace_residual"),
+                        (block_res, trace_res, gtilde_res)):
+        out[key] = np.full(skipped.shape, np.nan)
+        out[key][kept] = res
+    return out
 
 
 def check_spectrum_symmetry(a: np.ndarray, metric: Metric) -> dict:
     """Spectrum of H: closed under z -> -z and z -> z*, squares to spec(phi)."""
     eigs_h = np.linalg.eigvals(build_doubled(a, metric))
-    scale = float(np.max(np.abs(eigs_h)) + 1e-300)
-    neg = spectral.multiset_distance(eigs_h, -eigs_h) / scale
-    conj = spectral.multiset_distance(eigs_h, np.conj(eigs_h)) / scale
-    eigs_phi = np.linalg.eigvals(ens.make_ph(a, metric).phi)
-    doubled_phi = np.concatenate([eigs_phi, eigs_phi])
-    square = spectral.multiset_distance(eigs_h**2, doubled_phi) / max(scale**2, 1e-300)
-    return {"negation": float(neg), "conjugation": float(conj), "square_vs_phi": float(square)}
+    eigs_phi = np.linalg.eigvals(a * metric_mod.realize(metric, a.shape[-1]))
+    scale = np.max(np.abs(eigs_h), axis=-1) + 1e-300
+    dist = functools.partial(_per_matrix, spectral.multiset_distance, ndim=1)
+    square = dist(eigs_h**2, np.concatenate([eigs_phi, eigs_phi], axis=-1))
+    return {"negation": dist(eigs_h, -eigs_h) / scale,
+            "conjugation": dist(eigs_h, np.conj(eigs_h)) / scale,
+            "square_vs_phi": square / np.maximum(np.float_power(scale, 2), 1e-300)}
 
 
-def block_traces(a: np.ndarray, metric: Metric, s: float, z: complex) -> np.ndarray:
-    """All sixteen (1/N) tr Ghat_{alpha beta} at eta = i s as a 4 x 4 array,
-    entry [alpha - 1, beta - 1], by Schur reduction.
+def block_traces(a: np.ndarray, metric: Metric, s: float, z: complex | np.ndarray) -> np.ndarray:
+    """All sixteen (1/N) tr Ghat_{alpha beta} at eta = i s, entry [..., alpha - 1,
+    beta - 1] of a 4 x 4 array per matrix, at one z or one z per matrix.
 
     Ordered (1, 4 | 2, 3), the (2, 3) block inverts site by site to
     [[d1, d2], [d2, d1]], d1 = eta/(eta^2 - b^2), d2 = b/(eta^2 - b^2).
@@ -135,49 +155,53 @@ def block_traces(a: np.ndarray, metric: Metric, s: float, z: complex) -> np.ndar
     """
     if s == 0.0:
         raise ValueError("s must be nonzero (the s -> 0 limit is distributional)")
-    n = a.shape[0]
+    n = a.shape[-1]
     b = metric_mod.realize(metric, n)
+    z = np.asarray(z, dtype=complex)[..., None]   # one per matrix, against the site axis
     eta, zc = 1j * s, np.conj(z)
     d1, d2 = eta / (eta * eta - b * b), b / (eta * eta - b * b)
-    e = eta - abs(z) ** 2 * d1
-    c1, c2 = a + np.diag(z * z * d2), a + np.diag(zc * zc * d2)
-    t_inv = np.linalg.inv(np.diag(e) - c2 @ (c1 / e[:, None]))
-    x11 = (1.0 + np.einsum("ik,ki->i", c1 @ t_inv, c2) / e) / e
-    x = np.array([[x11, np.einsum("ik,ki->i", c1, t_inv) / e],
-                  [np.einsum("ik,ki->i", t_inv, c2) / e, np.diagonal(t_inv)]])
+    e = eta - np.float_power(_abs(z), 2) * d1
+    c1, c2 = (a + _diag(gapsolve._cmul(v, v) * d2) for v in (z, zc))
+    t_inv = np.linalg.inv(_diag(e) - c2 @ (c1 / e[..., None]))
+    row_dot = functools.partial(np.einsum, "...ik,...ki->...i")
+    x11 = (1.0 + row_dot(c1 @ t_inv, c2) / e) / e
+    x = np.stack([x11, row_dot(c1, t_inv) / e, row_dot(t_inv, c2) / e,
+                  np.diagonal(t_inv, 0, -2, -1)], axis=-2).reshape(x11.shape[:-1] + (2, 2, n))
     d_inv = np.array([[d1, d2], [d2, d1]])
-    q = np.array([[0.0, z], [zc, 0.0]])   # couples (1, 4) to (2, 3) and back
-    qd, dq = np.einsum("ab,bci->aci", q, d_inv), np.einsum("abi,bc->aci", d_inv, q)
-    outer, inner = [0, 3], [1, 2]
-    traces = np.empty((4, 4), dtype=complex)
-    traces[np.ix_(outer, outer)] = x.mean(-1)
-    traces[np.ix_(outer, inner)] = -np.einsum("abi,bci->ac", x, qd) / n
-    traces[np.ix_(inner, outer)] = -np.einsum("abi,bci->ac", dq, x) / n
-    traces[np.ix_(inner, inner)] = d_inv.mean(-1) + np.einsum("abi,bci,cdi->ad", dq, x, qd) / n
+    q = np.zeros(z.shape[:-1] + (2, 2), dtype=complex)   # couples (1, 4) to (2, 3) and back
+    q[..., 0, 1], q[..., 1, 0] = z[..., 0], zc[..., 0]
+    qd = np.einsum("...ab,bci->...aci", q, d_inv)
+    dq = np.einsum("abi,...bc->...aci", d_inv, q)
+    outer, inner = slice(0, 4, 3), slice(1, 3)   # blocks 1, 4 and 2, 3
+    traces = np.empty(x.shape[:-3] + (4, 4), dtype=complex)
+    traces[..., outer, outer] = x.mean(-1)
+    traces[..., outer, inner] = -np.einsum("...abi,...bci->...ac", x, qd) / n
+    traces[..., inner, outer] = -np.einsum("...abi,...bci->...ac", dq, x) / n
+    traces[..., inner, inner] = d_inv.mean(-1) + np.einsum("...abi,...bci,...cdi->...ad",
+                                                          dq, x, qd) / n
     return traces
 
 
-def block_trace_identities(a: np.ndarray, metric: Metric, s: float, z: complex) -> dict:
+def block_trace_identities(a: np.ndarray, metric: Metric, s: float, z) -> dict:
     """Per-sample residuals of the exact block-trace identities.
 
     * diagonal traces purely imaginary,
     * 11+22 = 33+44 (isospectral positive blocks),
     * 44(is; z, z*) = 11(is; z*, z) and 33(is; z, z*) = 22(is; z*, z),
     * 14 = conj(41) per sample.
-    All scaled by the largest diagonal trace magnitude.
+    All scaled by the largest diagonal trace magnitude; z as in ``block_traces``.
     """
     t_z = block_traces(a, metric, s, z)
     t_zc = block_traces(a, metric, s, np.conj(z))
-    diag = np.diagonal(t_z)
-    scale = float(np.max(np.abs(diag)) + 1e-300)
-    # Python complex entries: their abs rounds unlike numpy's complex abs
-    t11, t22, t33, t44 = (complex(v) for v in diag)
+    diag = np.diagonal(t_z, 0, -2, -1)
+    scale = np.max(np.abs(diag), axis=-1) + 1e-300
+    t11, t22, t33, t44 = np.moveaxis(diag, -1, 0)
     return {
-        "diag_real_part": float(np.max(np.abs(diag.real))) / scale,
-        "equal_sums": abs((t11 + t22) - (t33 + t44)) / scale,
-        "interrelation_44_11": abs(t44 - complex(t_zc[0, 0])) / scale,
-        "interrelation_33_22": abs(t33 - complex(t_zc[1, 1])) / scale,
-        "adjoint_14_41": abs(complex(t_z[0, 3]) - np.conj(complex(t_z[3, 0]))) / scale,
+        "diag_real_part": np.max(np.abs(diag.real), axis=-1) / scale,
+        "equal_sums": _abs((t11 + t22) - (t33 + t44)) / scale,
+        "interrelation_44_11": _abs(t44 - t_zc[..., 0, 0]) / scale,
+        "interrelation_33_22": _abs(t33 - t_zc[..., 1, 1]) / scale,
+        "adjoint_14_41": _abs(t_z[..., 0, 3] - np.conj(t_z[..., 3, 0])) / scale,
     }
 
 

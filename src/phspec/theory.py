@@ -21,16 +21,16 @@ the branch meets on the blob boundary (Janik, Nowak, Papp and Zahed,
 Nucl. Phys. B 501, 1997).
 
 ``holomorphic_b`` picks that root from the three by a rule, with no
-continuation: keep the roots whose G has Im G * Im w <= 0, the sign of a
-resolvent off the real axis, and of those take the one with the largest
-Re b * sgn(Re w) * sgn(1 - 2 lam).  The rule is evaluated at -conj w
-for Re w < 0, by the symmetry b(-conj w) = -conj b(w), which makes b
-imaginary on Re w = 0.  On and next to that line Re b is rounding, so
-the roots rank as in the limit Re w -> 0+, by d Re b / d Re w.  The
-domain is w outside the blobs and off the real axis: on the axis the
-sign test is vacuous, so band values are side limits at +-i eps.  The
-closed-form leg shares no code with the gap solver, whose signature
-results it checks.
+continuation: keep the roots whose G = (1 + m^2 b^2)/w (true at every
+root) has Im G * Im w <= 0, the sign of a resolvent off the real axis,
+and of those take the one with the largest Re b * sgn(Re w) * sgn(1 - 2 lam).
+The rule is evaluated at -conj w for Re w < 0, by the symmetry
+b(-conj w) = -conj b(w), which makes b imaginary on Re w = 0.  On and
+next to that line Re b is rounding, so the roots rank as in the limit
+Re w -> 0+, by d Re b / d Re w.  The domain is w outside the blobs and
+off the real axis: on the axis the sign test is vacuous, so band values
+are side limits at +-i eps.  The closed-form leg shares no code with the
+gap solver, whose signature results it checks.
 """
 
 from __future__ import annotations
@@ -228,8 +228,9 @@ def holomorphic_b(w, lam: float, m: float = 1.0):
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
     roots = np.linalg.eigvals(companion)
     zc = z[:, None]
+    # G by w G = 1 + m^2 b^2 (every root): the pole form loses its sign at large |w|
+    g = (1.0 + m2 * roots * roots) / zc
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = lam / (roots + zc) - (1.0 - lam) / (roots - zc)
         # next to Re w = 0, where Re b is rounding, the roots rank as Re w -> 0+
         # does, by d Re b / d Re w
         slope = ((2.0 * m2 * zc * roots - tilt) / (3.0 * m2 * roots * roots + 1.0 - m2 * zc * zc)).real

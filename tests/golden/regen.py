@@ -24,7 +24,8 @@ say of the parent and of a change, are compared with
 which prints every output whose hash differs: for a CSV the line numbers
 that moved and the largest |delta| of each numeric column, for
 ``report.json`` the ``checks``, ``metrics`` and ``skip_counts`` keys that
-differ.  It prints nothing for equal trees.  Every rewrite changes what the
+differ, for ``verification.json`` the checks whose ``residual`` or
+``pass`` moved.  It prints nothing for equal trees.  Every rewrite changes what the
 test guards: name in CHANGES.md the outputs and rows that moved and why.
 """
 
@@ -202,6 +203,23 @@ def _report_diff(old: str, new: str) -> list[str]:
     return out
 
 
+def _verification_diff(old: str, new: str) -> list[str]:
+    """The ``verification.json`` records whose ``residual`` or ``pass``
+    differ, by check name, old value then new."""
+    records = []
+    for path in (old, new):
+        with open(path) as fh:
+            records.append({r["check_name"]: r for r in json.load(fh)})
+    a, b = records
+    out = []
+    for name in sorted(set(a) | set(b)):
+        for field in ("residual", "pass"):
+            va, vb = a.get(name, {}).get(field), b.get(name, {}).get(field)
+            if va != vb:
+                out.append(f"  {name}.{field}: {json.dumps(va)} -> {json.dumps(vb)}")
+    return out
+
+
 def _tree(root: str) -> set:
     """"<run>/<file>" of every output in a ``--keep`` tree."""
     return {f"{run}/{fname}" for run in os.listdir(root)
@@ -225,6 +243,8 @@ def diff(old: str, new: str) -> list[str]:
             out += _csv_diff(pa, pb)
         elif name.endswith("/report.json"):
             out += _report_diff(pa, pb)
+        elif name.endswith("/verification.json"):
+            out += _verification_diff(pa, pb)
     return out
 
 

@@ -1047,8 +1047,15 @@ def test_identity_checks_round_as_scalar_python():
             rows.append((w, G.NONHOLOMORPHIC, complex(0.0, beta), abs(xs[-k]) / 100,
                          beta, complex(*rng.normal(size=2)),
                          complex(*rng.normal(size=2)), 0.0, ""))
-    cols = G.GapSolution(*map(np.array, zip(*rows)))
     m = 1.3
+    # alpha = 0 and w G within rounding of 1 - m^2 beta^2: each residual is
+    # set by beta^2 alone, so beta * beta in place of pow moves its bits
+    big = [x for x in (1e3 * rng.normal(size=20000)).tolist() if x**2 != x * x][:8]
+    for beta in big:
+        w = complex(*rng.normal(size=2))
+        rows.append((w, G.NONHOLOMORPHIC, complex(0.0, beta), 0.0, beta,
+                     complex(*rng.normal(size=2)), (1.0 - m * m * beta**2) / w, 0.0, ""))
+    cols = G.GapSolution(*map(np.array, zip(*rows)))
     structural, unified = [], []
     # the scalar references run on Python numbers, not on numpy scalars
     for s in (G.GapSolution(*row) for row in zip(*(v.tolist() for v in vars(cols).values()))):

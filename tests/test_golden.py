@@ -73,3 +73,21 @@ def test_diff_names_the_moved_line_and_column(tmp_path, capsys):
         "  lines 6",
         f"  re_G: max |delta| {abs(before + 0.25 - before)!r}",
     ]
+
+
+def test_diff_names_the_moved_verification_record(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    regen.outputs(str(old), ("verify",))
+    shutil.copytree(old, new)
+    path = new / "verify" / "verification.json"
+    records = json.loads(path.read_text())
+    moved = next(r for r in records if r["check_name"] == "identity[block]")
+    before = moved["residual"]
+    moved["residual"], moved["pass"] = 1.0, False
+    path.write_text(json.dumps(records, indent=2) + "\n")
+    assert regen.main(["--diff", str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "verify/verification.json: differs",
+        f"  identity[block].residual: {json.dumps(before)} -> 1.0",
+        "  identity[block].pass: true -> false",
+    ]

@@ -11,6 +11,7 @@ import pytest
 from phspec import _blas, _roots, cli, spectral
 from phspec import ensemble as E
 from phspec import gapsolve as G
+from phspec import hermcheck as H
 from phspec import metric as M
 from phspec import theory as T
 from phspec.harness import config as C
@@ -514,6 +515,72 @@ class TestExperiments:
             assert data["skip_counts"] == reports[0]["skip_counts"]
         assert [data["provenance"]["workers"] for data in reports] == \
             [1, 2, min(os.cpu_count(), 12)]
+
+
+def _identity_draw(seed, m, i):
+    """Reference: ``verify``'s identity stage as it was run draw by draw, each
+    check called on one n = 8 matrix and reduced with Python's max."""
+    worst = dict.fromkeys(X._IDENTITIES, 0.0)
+    skipped = 0
+    metric = X._METRIC_SMALL
+    a = E.sample_gue(8, m, E.mix_seed(seed, i))
+    worst["gamma"] = max(worst["gamma"], H.gamma_anticommutator_norm(H.build_doubled(a, metric)))
+    sym = H.check_spectrum_symmetry(a, metric)
+    worst["sym_neg"] = max(worst["sym_neg"], sym["negation"])
+    worst["sym_conj"] = max(worst["sym_conj"], sym["conjugation"])
+    worst["square"] = max(worst["square"], sym["square_vs_phi"])
+    for z in X._Z_POINTS:
+        res = H.check_block_resolvent(a, metric, z)
+        if res.get("skipped"):
+            skipped += 1
+            continue
+        worst["block"] = max(worst["block"], res["block_residual"])
+        worst["trace_pair"] = max(worst["trace_pair"], res["trace_pairing_residual"])
+        worst["half_trace"] = max(worst["half_trace"], res["half_trace_residual"])
+    for s in (0.05, 0.1, 0.5):
+        ids = H.block_trace_identities(a, metric, s, X._Z_POINTS[i % 5])
+        worst["diag_imag"] = max(worst["diag_imag"], ids["diag_real_part"])
+        worst["equal_sums"] = max(worst["equal_sums"], ids["equal_sums"])
+        worst["inter_44_11"] = max(worst["inter_44_11"], ids["interrelation_44_11"])
+        worst["inter_33_22"] = max(worst["inter_33_22"], ids["interrelation_33_22"])
+        worst["adjoint"] = max(worst["adjoint"], ids["adjoint_14_41"])
+    return worst, skipped
+
+
+def _identity_loop(seed, m, count):
+    worst = dict.fromkeys(X._IDENTITIES, 0.0)
+    skipped = 0
+    for i in range(count):
+        draw, draw_skipped = _identity_draw(seed, m, i)
+        for name in worst:
+            worst[name] = max(worst[name], draw[name])
+        skipped += draw_skipped
+    return worst, skipped
+
+
+def _assert_same_bits(stacked, looped):
+    worst, skipped = stacked
+    want, want_skipped = looped
+    assert skipped == want_skipped
+    assert list(worst) == list(want)
+    for name in want:
+        assert np.float64(worst[name]).tobytes() == np.float64(want[name]).tobytes(), name
+
+
+@pytest.mark.parametrize("seed", [11, 2024])
+def test_stacked_identity_stage_matches_the_per_draw_loop(seed):
+    _assert_same_bits(X._identity_stage(seed, 1.0, 100), _identity_loop(seed, 1.0, 100))
+
+
+def test_stacked_identity_stage_masks_near_singular_shifts(monkeypatch):
+    # the last shift sits 1e-13 from sqrt of an eigenvalue of draw 0's phi
+    a = E.sample_gue(8, 1.0, E.mix_seed(11, 0))
+    w = np.linalg.eigvals(a * M.realize(X._METRIC_SMALL, 8)[None, :])[0]
+    z = complex(np.sqrt(w) + 1e-13)
+    monkeypatch.setattr(X, "_Z_POINTS", X._Z_POINTS[:4] + (z,))
+    stacked, looped = X._identity_stage(11, 1.0, 20), _identity_loop(11, 1.0, 20)
+    assert looped[1] >= 1
+    _assert_same_bits(stacked, looped)
 
 
 def test_single_thread_scopes_blas_threads():

@@ -229,6 +229,22 @@ class TestGreens:
         res = np.abs(m * m * b**3 + (1 - m * m * pts**2) * b + pts * (1 - 2 * lam))
         assert np.all(res <= 1e-12 * (1 + np.abs(pts) ** 3))
 
+    @pytest.mark.parametrize("m", [1.0, 0.7])
+    @pytest.mark.parametrize("r", [1e3, 1e6, 1e10])
+    def test_small_root_at_large_w(self, r, m):
+        # the rule picked a large root at |w| = 1e10/m, where lam/(b + w) -
+        # (1 - lam)/(b - w) rounds Im G of both large roots to either sign.
+        # The series b m^2 w/(1 - 2 lam) = 1 + u + (1 + (1 - 2 lam)^2) u^2 +
+        # O(u^3), u = 1/(m w)^2, is exact to 1e-18 at these |w|.
+        lam, tilt = 0.25, 0.5
+        w = r / m * np.exp(1j * np.array([0.4, 1.2, np.pi / 2, 2.5, -0.7, -2.9]))
+        b = T.holomorphic_b(w, lam, m)
+        terms = np.array([m * m * b**3, (1 - m * m * w * w) * b, w * tilt])
+        assert np.all(np.abs(terms.sum(axis=0)) <= 1e-12 * np.abs(terms).max(axis=0))
+        u = 1.0 / (m * m * w * w)
+        series = 1.0 + u + (1.0 + tilt * tilt) * u * u
+        assert np.max(np.abs(m * m * w * b / tilt - series)) <= 1e-12
+
     def test_conjugation(self):
         lam = 0.25
         pts = np.array([0.5 + 0.3j, 1.8 - 0.4j, 0.1 + 0.15j])
